@@ -1,9 +1,11 @@
 //! Per-PR performance trajectory from the archived bench artifacts.
 //!
 //! Reads every `BENCH_pr<N>.json` in the given directory (default `.`) and
-//! prints a markdown trajectory table — staged-sweep speedup per PR, plus
-//! the solver columns (branch-and-bound node ratio, cross-point warm-start
-//! hit rate) once an artifact carries them. Two check modes gate CI:
+//! prints a markdown trajectory table — staged-sweep time, its
+//! runner-normalized form `staged_norm` (staged ÷ calibration-kernel
+//! seconds) and the staged-vs-monolithic ratio per PR, plus the solver
+//! columns (branch-and-bound node ratio, cross-point warm-start hit rate)
+//! once an artifact carries them. Two check modes gate CI:
 //!
 //! ```text
 //! bench_trend [--dir D]                 # print the trajectory table
@@ -11,15 +13,18 @@
 //! bench_trend --check-fresh FILE        # a fresh BENCH_eval.json vs newest archive
 //! ```
 //!
-//! Both checks fail (exit 1) when the staged speedup regresses by more
-//! than 25% against the comparison artifact. Artifacts are flat JSON
-//! written by the benches themselves; fields are extracted with a string
-//! scanner so the tool needs no JSON dependency.
+//! Both checks compare `staged_norm` with the newest other artifact that
+//! carries it, and fail (exit 1) when it is more than 25% higher (slower).
+//! The staged-vs-monolithic ratio is informational only: the monolithic
+//! reference shares Stage B with the staged path, so making Stage B cheaper
+//! lowers the ratio without any regression in staging. Artifacts are flat
+//! JSON written by the benches themselves; fields are extracted with a
+//! string scanner so the tool needs no JSON dependency.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Maximum tolerated staged-speedup regression between artifacts.
+/// Maximum tolerated `staged_norm` growth between artifacts.
 const MAX_REGRESSION: f64 = 0.25;
 
 /// Extracts the number following the first `"key":` in `json`.
@@ -35,20 +40,20 @@ fn field(json: &str, key: &str) -> Option<f64> {
 
 struct Artifact {
     pr: u32,
-    path: PathBuf,
     speedup: Option<f64>,
     staged_ms: Option<f64>,
+    staged_norm: Option<f64>,
     node_ratio: Option<f64>,
     warm_hit_rate: Option<f64>,
 }
 
-fn load(pr: u32, path: PathBuf) -> std::io::Result<Artifact> {
-    let json = std::fs::read_to_string(&path)?;
+fn load(pr: u32, path: &Path) -> std::io::Result<Artifact> {
+    let json = std::fs::read_to_string(path)?;
     Ok(Artifact {
         pr,
-        path,
         speedup: field(&json, "speedup"),
         staged_ms: field(&json, "staged_seconds").map(|s| s * 1e3),
+        staged_norm: field(&json, "staged_norm"),
         node_ratio: field(&json, "node_ratio"),
         warm_hit_rate: field(&json, "warm_hit_rate"),
     })
@@ -62,7 +67,7 @@ fn artifacts(dir: &Path) -> std::io::Result<Vec<Artifact>> {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if let Some(num) = name.strip_prefix("BENCH_pr").and_then(|n| n.strip_suffix(".json")) {
             if let Ok(pr) = num.parse::<u32>() {
-                found.push(load(pr, path)?);
+                found.push(load(pr, &path)?);
             }
         }
     }
@@ -76,14 +81,17 @@ fn fmt(v: Option<f64>, spec: impl Fn(f64) -> String) -> String {
 
 fn table(rows: &[Artifact]) -> String {
     let mut out = String::new();
-    out.push_str("| PR | staged sweep speedup | staged sweep (ms) | B&B node ratio | warm-start hit rate |\n");
-    out.push_str("|---:|---:|---:|---:|---:|\n");
+    out.push_str(
+        "| PR | staged sweep (ms) | staged_norm | staged vs monolithic | B&B node ratio | warm-start hit rate |\n",
+    );
+    out.push_str("|---:|---:|---:|---:|---:|---:|\n");
     for a in rows {
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} |\n",
             a.pr,
-            fmt(a.speedup, |v| format!("{v:.2}×")),
             fmt(a.staged_ms, |v| format!("{v:.1}")),
+            fmt(a.staged_norm, |v| format!("{v:.3}")),
+            fmt(a.speedup, |v| format!("{v:.2}×")),
             fmt(a.node_ratio, |v| format!("{v:.1}× fewer")),
             fmt(a.warm_hit_rate, |v| format!("{:.0}%", v * 100.0)),
         ));
@@ -91,26 +99,20 @@ fn table(rows: &[Artifact]) -> String {
     out
 }
 
-/// Fails when `fresh` regresses the staged speedup by more than 25%
-/// against `base`.
-fn check(base: &Artifact, fresh_name: &str, fresh_speedup: f64) -> ExitCode {
-    let Some(base_speedup) = base.speedup else {
-        eprintln!("bench_trend: {} has no staged speedup to compare against", base.path.display());
-        return ExitCode::SUCCESS;
-    };
-    let floor = base_speedup * (1.0 - MAX_REGRESSION);
-    if fresh_speedup < floor {
+/// Fails when `fresh_norm` is more than 25% above `base_norm`, the
+/// `staged_norm` of `BENCH_pr<base_pr>`.
+fn check(base_pr: u32, base_norm: f64, fresh_name: &str, fresh_norm: f64) -> ExitCode {
+    let ceiling = base_norm * (1.0 + MAX_REGRESSION);
+    if fresh_norm > ceiling {
         eprintln!(
-            "bench_trend: staged speedup regressed >25%: {fresh_name} {fresh_speedup:.2}x \
-             vs BENCH_pr{} {base_speedup:.2}x (floor {floor:.2}x)",
-            base.pr
+            "bench_trend: staged_norm regressed >25%: {fresh_name} {fresh_norm:.3} \
+             vs BENCH_pr{base_pr} {base_norm:.3} (ceiling {ceiling:.3})"
         );
         return ExitCode::FAILURE;
     }
     println!(
-        "bench_trend: {fresh_name} {fresh_speedup:.2}x vs BENCH_pr{} {base_speedup:.2}x — \
-         within the 25% regression budget",
-        base.pr
+        "bench_trend: {fresh_name} staged_norm {fresh_norm:.3} vs BENCH_pr{base_pr} \
+         {base_norm:.3} — within the 25% regression budget"
     );
     ExitCode::SUCCESS
 }
@@ -154,26 +156,24 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(speedup) = field(&json, "speedup") else {
-            eprintln!("bench_trend: {} has no \"speedup\" field", fresh_path.display());
+        let Some(norm) = field(&json, "staged_norm") else {
+            eprintln!("bench_trend: {} has no \"staged_norm\" field", fresh_path.display());
             return ExitCode::FAILURE;
         };
-        let newest = rows.last().expect("nonempty");
-        return check(newest, &fresh_path.display().to_string(), speedup);
+        let Some((pr, base)) = rows.iter().rev().find_map(|a| Some((a.pr, a.staged_norm?))) else {
+            println!("bench_trend: no archive carries staged_norm; nothing to check");
+            return ExitCode::SUCCESS;
+        };
+        return check(pr, base, &fresh_path.display().to_string(), norm);
     }
     if mode_check {
-        let with_speedup: Vec<&Artifact> = rows.iter().filter(|a| a.speedup.is_some()).collect();
-        if with_speedup.len() < 2 {
-            println!("bench_trend: fewer than two artifacts with a speedup; nothing to check");
+        let normed: Vec<(u32, f64)> =
+            rows.iter().filter_map(|a| Some((a.pr, a.staged_norm?))).collect();
+        let [.., (prev_pr, prev), (pr, norm)] = normed[..] else {
+            println!("bench_trend: fewer than two artifacts with a staged_norm; nothing to check");
             return ExitCode::SUCCESS;
-        }
-        let newest = with_speedup[with_speedup.len() - 1];
-        let prev = with_speedup[with_speedup.len() - 2];
-        return check(
-            prev,
-            &format!("BENCH_pr{}", newest.pr),
-            newest.speedup.expect("filtered on speedup"),
-        );
+        };
+        return check(prev_pr, prev, &format!("BENCH_pr{pr}"), norm);
     }
 
     print!("{}", table(&rows));
@@ -198,25 +198,40 @@ mod tests {
     #[test]
     fn table_renders_missing_columns_as_dashes() {
         let rows = vec![
+            artifact(6, Some(3.05), Some(6.6), None),
             Artifact {
-                pr: 6,
-                path: PathBuf::from("BENCH_pr6.json"),
-                speedup: Some(3.05),
-                staged_ms: Some(6.6),
-                node_ratio: None,
-                warm_hit_rate: None,
-            },
-            Artifact {
-                pr: 10,
-                path: PathBuf::from("BENCH_pr10.json"),
-                speedup: Some(4.0),
-                staged_ms: Some(5.0),
                 node_ratio: Some(11.0),
                 warm_hit_rate: Some(1.0),
+                ..artifact(10, Some(4.0), Some(5.0), None)
             },
+            artifact(12, Some(1.7), Some(4.4), Some(0.766)),
         ];
         let t = table(&rows);
-        assert!(t.contains("| 6 | 3.05× | 6.6 | — | — |"));
-        assert!(t.contains("| 10 | 4.00× | 5.0 | 11.0× fewer | 100% |"));
+        assert!(t.contains("| 6 | 6.6 | — | 3.05× | — | — |"), "{t}");
+        assert!(t.contains("| 10 | 5.0 | — | 4.00× | 11.0× fewer | 100% |"), "{t}");
+        assert!(t.contains("| 12 | 4.4 | 0.766 | 1.70× | — | — |"), "{t}");
+    }
+
+    fn artifact(
+        pr: u32,
+        speedup: Option<f64>,
+        staged_ms: Option<f64>,
+        norm: Option<f64>,
+    ) -> Artifact {
+        Artifact {
+            pr,
+            speedup,
+            staged_ms,
+            staged_norm: norm,
+            node_ratio: None,
+            warm_hit_rate: None,
+        }
+    }
+
+    #[test]
+    fn check_fails_only_beyond_the_staged_norm_budget() {
+        assert_eq!(check(12, 0.80, "fresh", 0.80 * 1.25), ExitCode::SUCCESS);
+        assert_eq!(check(12, 0.80, "fresh", 0.80 * 1.26), ExitCode::FAILURE);
+        assert_eq!(check(12, 0.80, "fresh", 0.40), ExitCode::SUCCESS, "faster never fails");
     }
 }

@@ -889,11 +889,13 @@ impl Evaluator {
 
 /// Magic prefix of fuse-tier snapshot files (`eval_cache.bin`).
 pub(crate) const FUSE_MAGIC: [u8; 8] = *b"FASTEVC1";
-/// Fuse-tier format version; bump on any layout change so old files degrade
-/// to a cold cache instead of being misread. Version 1 was the pre-split
-/// monolithic `(workload, datapath, schedule, fusion) → WorkloadEval`
-/// cache; those files are rejected with a version warning.
-pub(crate) const FUSE_VERSION: u32 = 2;
+/// Fuse-tier format version; bump on any layout or key change so old files
+/// degrade to a cold cache instead of being misread. Version 1 was the
+/// pre-split monolithic `(workload, datapath, schedule, fusion) →
+/// WorkloadEval` cache; version 2 keyed entries by a byte-wise FNV-1a
+/// [`StatsFingerprint`], whose values the word-wise digests of version 3 no
+/// longer produce. Both are rejected with a version warning.
+pub(crate) const FUSE_VERSION: u32 = 3;
 /// Magic prefix of op-tier snapshot files (`…op.bin`).
 pub(crate) const OP_MAGIC: [u8; 8] = *b"FASTOPC1";
 /// Op-tier format version.
@@ -1451,6 +1453,28 @@ mod tests {
         let report = e.load_eval_cache(&path);
         assert_eq!(report.fuse_loaded, 0);
         assert!(report.warning.unwrap().contains("version"), "must name the version skew");
+        assert_eq!(e.fuse_cache_len(), 0, "cold means cold");
+
+        // A version-2 file has today's layout but keys from the byte-wise
+        // FNV-1a fingerprint. Its payload decodes cleanly, so only the
+        // version gate keeps those stale keys out.
+        let warm = evaluator(Objective::Qps);
+        let _ = warm.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
+        let current = scratch("v3-format.bin");
+        warm.save_eval_cache(&current).unwrap();
+        let bytes = std::fs::read(&current).unwrap();
+        let payload = bin::read_envelope(FUSE_MAGIC, FUSE_VERSION, &bytes).unwrap();
+        assert!(
+            read_tier_strict::<FuseKey, FusedSummary>(&current, FUSE_MAGIC, FUSE_VERSION, "fuse")
+                .is_ok_and(|entries| !entries.is_empty()),
+            "the payload carried over to the version-2 file decodes"
+        );
+        std::fs::write(&path, bin::write_envelope(FUSE_MAGIC, 2, payload)).unwrap();
+        let e = evaluator(Objective::Qps);
+        let report = e.load_eval_cache(&path);
+        assert_eq!(report.fuse_loaded, 0);
+        let warning = report.warning.unwrap();
+        assert!(warning.contains("format version 2, expected 3"), "{warning}");
         assert_eq!(e.fuse_cache_len(), 0, "cold means cold");
     }
 

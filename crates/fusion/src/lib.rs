@@ -45,11 +45,11 @@ use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A collision-resistant fingerprint of the fusion inputs: everything
-/// [`fuse_regions`] reads from the region statistics, canonically encoded
-/// and hashed twice (independent FNV-1a streams) together with the encoded
-/// length. Two identical fingerprints identify identical fusion problems
-/// for all practical purposes (a collision needs two stat blocks agreeing
-/// on both 64-bit digests *and* their length).
+/// [`fuse_regions`] reads from the region statistics, as a canonical
+/// sequence of 64-bit words hashed by two independent digests, together
+/// with the word count. Two identical fingerprints identify identical
+/// fusion problems for all practical purposes (a collision needs two stat
+/// blocks agreeing on both 64-bit digests *and* their length).
 ///
 /// This is the `FuseKey` ingredient evaluation caches key Stage C on:
 /// datapaths that differ only in mapper-invisible *and* fusion-invisible
@@ -57,11 +57,11 @@ use std::time::Duration;
 /// fusion solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatsFingerprint {
-    /// FNV-1a over the canonical encoding (standard offset basis).
+    /// First digest of the canonical word sequence.
     pub hash_a: u64,
-    /// FNV-1a over the same bytes from an independent seed.
+    /// Second, independent digest of the same words.
     pub hash_b: u64,
-    /// Length of the canonical encoding in bytes.
+    /// Number of words hashed.
     pub len: u64,
 }
 
@@ -85,7 +85,7 @@ impl serde::bin::Decode for StatsFingerprint {
 }
 
 /// FNV-1a with a caller-chosen initial state (the second, independent
-/// digest of [`StatsFingerprint`]).
+/// digest of [`StructureKey`]).
 fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
@@ -95,21 +95,45 @@ fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// Two independent multiply–xorshift digests over a stream of 64-bit
+/// words: each word is folded into both states, which are then multiplied
+/// by distinct odd constants and xor-shifted so high-bit differences reach
+/// the low bits before the next word.
+struct WordDigest {
+    a: u64,
+    b: u64,
+    words: u64,
+}
+
+impl WordDigest {
+    fn new() -> Self {
+        WordDigest { a: 0xcbf2_9ce4_8422_2325, b: 0x8422_2325_cbf2_9ce4, words: 0 }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.a ^= self.a >> 29;
+        self.b = (self.b ^ w).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        self.b ^= self.b >> 32;
+        self.words += 1;
+    }
+}
+
 /// Fingerprints the inputs of [`fuse_regions`] (minus the Global-Memory
 /// capacity and the options, which cache keys carry verbatim).
 ///
-/// Every [`RegionPerf`] field the pass reads is encoded — floats as raw
-/// bits — via an exhaustive destructure, so adding a field without
-/// classifying it here is a compile error. Three fields are deliberately
-/// *excluded* as identity/display-only: the region id and the name (node
-/// names and graph ids never influence placements — only `primary_input`,
-/// the positional linkage the ILP consumes, does) and the group tag.
+/// Every [`RegionPerf`] field the pass reads is hashed as one word — floats
+/// as raw bits, `primary_input` as `0` for none and `i + 1` otherwise —
+/// via an exhaustive destructure, so adding a field without classifying it
+/// here is a compile error. Three fields are deliberately *excluded* as
+/// identity/display-only: the region id and the name (node names and graph
+/// ids never influence placements — only `primary_input`, the positional
+/// linkage the ILP consumes, does) and the group tag.
 #[must_use]
 pub fn stats_fingerprint(regions: &[RegionPerf], compute_seconds: f64) -> StatsFingerprint {
-    use serde::bin::Encode as _;
-    let mut w = serde::bin::Writer::new();
-    compute_seconds.encode(&mut w);
-    (regions.len() as u64).encode(&mut w);
+    let mut d = WordDigest::new();
+    d.word(compute_seconds.to_bits());
+    d.word(regions.len() as u64);
     for r in regions {
         let RegionPerf {
             region: _, // graph id: identity-only, never read by fusion
@@ -133,30 +157,25 @@ pub fn stats_fingerprint(regions: &[RegionPerf], compute_seconds: f64) -> StatsF
             primary_input,
             row_streamable,
         } = r;
-        compute_seconds.encode(&mut w);
-        flops.encode(&mut w);
-        in_bytes.encode(&mut w);
-        primary_in_bytes.encode(&mut w);
-        out_bytes.encode(&mut w);
-        weight_bytes.encode(&mut w);
-        weight_store_bytes.encode(&mut w);
-        spill_bytes.encode(&mut w);
-        t_min.encode(&mut w);
-        t_max.encode(&mut w);
-        t_in.encode(&mut w);
-        t_fixed.encode(&mut w);
-        t_out.encode(&mut w);
-        t_weight.encode(&mut w);
-        resident_buffer_bytes.encode(&mut w);
-        primary_input.encode(&mut w);
-        row_streamable.encode(&mut w);
+        d.word(compute_seconds.to_bits());
+        d.word(*flops);
+        d.word(*in_bytes);
+        d.word(*primary_in_bytes);
+        d.word(*out_bytes);
+        d.word(*weight_bytes);
+        d.word(*weight_store_bytes);
+        d.word(*spill_bytes);
+        d.word(t_min.to_bits());
+        d.word(t_max.to_bits());
+        d.word(t_in.to_bits());
+        d.word(t_fixed.to_bits());
+        d.word(t_out.to_bits());
+        d.word(t_weight.to_bits());
+        d.word(*resident_buffer_bytes);
+        d.word(primary_input.map_or(0, |p| p as u64 + 1));
+        d.word(u64::from(*row_streamable));
     }
-    let bytes = w.into_bytes();
-    StatsFingerprint {
-        hash_a: serde::bin::fnv1a(&bytes),
-        hash_b: fnv1a_seeded(0x8422_2325_CBF2_9CE4, &bytes),
-        len: bytes.len() as u64,
-    }
+    StatsFingerprint { hash_a: d.a, hash_b: d.b, len: d.words }
 }
 
 /// Per-region tensor placement decided by FAST fusion.
@@ -1532,7 +1551,7 @@ mod tests {
 
         // Renaming a region (a node-name artifact) must not change the key.
         let mut renamed = perf.regions.clone();
-        renamed[0].name = "totally/different/name".to_string();
+        renamed[0].name = "totally/different/name".into();
         renamed[1].group = Some(99);
         assert_eq!(base, stats_fingerprint(&renamed, perf.compute_seconds));
 
@@ -1544,6 +1563,35 @@ mod tests {
         linked[3].primary_input = None;
         assert_ne!(base, stats_fingerprint(&linked, perf.compute_seconds));
         assert_ne!(base, stats_fingerprint(&perf.regions, perf.compute_seconds * 2.0));
+
+        // Every field the pass reads, changed alone, changes the key.
+        let changes: [fn(&mut RegionPerf); 17] = [
+            |r| r.compute_seconds *= 1.5,
+            |r| r.flops += 1,
+            |r| r.in_bytes += 1,
+            |r| r.primary_in_bytes += 1,
+            |r| r.out_bytes += 1,
+            |r| r.weight_bytes += 1,
+            |r| r.weight_store_bytes += 1,
+            |r| r.spill_bytes += 1,
+            |r| r.t_min *= 1.5,
+            |r| r.t_max *= 1.5,
+            |r| r.t_in += 1e-9,
+            |r| r.t_fixed += 1e-9,
+            |r| r.t_out += 1e-9,
+            |r| r.t_weight += 1e-9,
+            |r| r.resident_buffer_bytes += 1,
+            |r| r.primary_input = Some(r.primary_input.map_or(0, |p| p + 1)),
+            |r| r.row_streamable = !r.row_streamable,
+        ];
+        for (i, change) in changes.iter().enumerate() {
+            for at in [0, perf.regions.len() / 2, perf.regions.len() - 1] {
+                let mut changed = perf.regions.clone();
+                change(&mut changed[at]);
+                let fp = stats_fingerprint(&changed, perf.compute_seconds);
+                assert_ne!(base, fp, "field change {i} at region {at} kept the fingerprint");
+            }
+        }
 
         // And a different workload's stats are (overwhelmingly) distinct.
         let other = perf_of(Workload::ResNet50, 8, &cfg);

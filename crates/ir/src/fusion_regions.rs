@@ -153,7 +153,22 @@ impl RegionGraph {
     /// regions stream their secondary inputs from DRAM).
     #[must_use]
     pub fn primary_input(&self, id: RegionId) -> Option<RegionId> {
-        self.fan_in(id).into_iter().max_by_key(|e| e.bytes).map(|e| e.from)
+        self.primary_edges()[id.index()].map(|e| e.from)
+    }
+
+    /// The largest fan-in edge of every region, indexed by region id, in
+    /// one pass over the edges. On a tie the edge latest in edge order
+    /// wins.
+    #[must_use]
+    pub fn primary_edges(&self) -> Vec<Option<&RegionEdge>> {
+        let mut largest: Vec<Option<&RegionEdge>> = vec![None; self.regions.len()];
+        for e in &self.edges {
+            let slot = &mut largest[e.to.index()];
+            if slot.is_none_or(|best| e.bytes >= best.bytes) {
+                *slot = Some(e);
+            }
+        }
+        largest
     }
 
     /// Merges regions according to `key`: regions mapping to the same

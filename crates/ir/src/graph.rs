@@ -3,6 +3,7 @@
 use crate::loop_nest::LoopNest;
 use crate::ops::DepthwiseConv2dGeom;
 use crate::ops::{self, infer_shape, OpKind};
+use crate::plan::SimPlan;
 use crate::shape::Shape;
 use crate::{
     BatchMatMulGeom, Conv2dGeom, DType, EwKind, IrError, MatMulGeom, NormKind, PoolGeom, PoolKind,
@@ -10,6 +11,7 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node within one [`Graph`].
 ///
@@ -97,6 +99,9 @@ pub struct Graph {
     outputs: Vec<NodeId>,
     groups: Vec<String>,
     current_group: Option<u32>,
+    /// The Stage-B plan, lowered on first use ([`Graph::sim_plan`]) and
+    /// cleared by every `&mut self` method.
+    plan: OnceLock<SimPlan>,
 }
 
 impl Graph {
@@ -110,6 +115,7 @@ impl Graph {
             outputs: Vec::new(),
             groups: Vec::new(),
             current_group: None,
+            plan: OnceLock::new(),
         }
     }
 
@@ -166,6 +172,7 @@ impl Graph {
     /// Begins a named group; subsequent nodes are tagged with it until the
     /// next [`Graph::begin_group`] / [`Graph::end_group`]. Returns the group id.
     pub fn begin_group(&mut self, name: impl Into<String>) -> u32 {
+        self.plan.take();
         let id = self.groups.len() as u32;
         self.groups.push(name.into());
         self.current_group = Some(id);
@@ -174,11 +181,13 @@ impl Graph {
 
     /// Ends the current group; subsequent nodes are untagged.
     pub fn end_group(&mut self) {
+        self.plan.take();
         self.current_group = None;
     }
 
     /// Marks a node as a graph output.
     pub fn mark_output(&mut self, id: NodeId) {
+        self.plan.take();
         if !self.outputs.contains(&id) {
             self.outputs.push(id);
         }
@@ -190,6 +199,7 @@ impl Graph {
 
     /// Adds a graph input placeholder.
     pub fn input(&mut self, name: impl Into<String>, shape: impl Into<Shape>) -> NodeId {
+        self.plan.take();
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             id,
@@ -213,6 +223,7 @@ impl Graph {
         kind: OpKind,
         inputs: &[NodeId],
     ) -> Result<NodeId, IrError> {
+        self.plan.take();
         let name = name.into();
         ops::validate(&name, &kind)?;
         for &i in inputs {
@@ -524,6 +535,13 @@ impl Graph {
     #[must_use]
     pub fn total_weight_bytes(&self) -> u64 {
         self.nodes.iter().map(|n| self.node_weight_bytes(n.id)).sum()
+    }
+
+    /// The Stage-B plan of this graph: lowered on the first call, then
+    /// shared by every later call until a mutation clears it.
+    #[must_use]
+    pub fn sim_plan(&self) -> &SimPlan {
+        self.plan.get_or_init(|| SimPlan::lower(self))
     }
 
     /// Canonical 7-D loop nest for matrix ops; `None` for vector ops.

@@ -15,7 +15,9 @@
 //!   producing the "partially fused" graph that FAST fusion (Figure 8 of the
 //!   paper) operates on,
 //! * operational-intensity analytics under several fusion strategies
-//!   ([`intensity`]), reproducing Figure 3 / Table 1 of the paper.
+//!   ([`intensity`]), reproducing Figure 3 / Table 1 of the paper,
+//! * the Stage-B plan ([`plan::SimPlan`]): the datapath-independent half of
+//!   simulating a graph, lowered once per graph and cached on it.
 //!
 //! ## Example
 //!
@@ -42,6 +44,7 @@ pub mod intensity;
 pub mod loop_nest;
 pub mod ops;
 mod persist;
+pub mod plan;
 pub mod shape;
 pub mod stats;
 
@@ -58,6 +61,7 @@ pub use ops::{
     BatchMatMulGeom, Conv2dGeom, EwKind, MatMulGeom, NormKind, OpKind, PoolGeom, PoolKind,
     SoftmaxGeom,
 };
+pub use plan::{PlanNode, PlanOp, PlanRegion, SimPlan};
 pub use shape::Shape;
 pub use stats::GraphStats;
 

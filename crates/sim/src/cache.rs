@@ -316,12 +316,12 @@ impl MapperCache {
     /// Results (including per-op failures, with each asking op's name
     /// attached) and hit/miss accounting are bit-identical to calling
     /// [`MapperCache::map`] per `(nest, op)` pair in order.
-    pub fn map_batch(
+    pub fn map_batch<S: AsRef<str>>(
         &self,
         nests: &[fast_ir::LoopNest],
         cfg: &DatapathConfig,
         opts: &SimOptions,
-        ops: &[&str],
+        ops: &[S],
     ) -> Vec<Result<Mapping, SimError>> {
         debug_assert_eq!(nests.len(), ops.len(), "one op name per nest");
         let keys: Vec<OpKey> = nests.iter().map(|n| OpKey::of(n, cfg, opts)).collect();
@@ -333,7 +333,11 @@ impl MapperCache {
             },
             |i| map_op(&nests[i], cfg, opts.padding, opts.dataflows),
         );
-        results.into_iter().zip(ops).map(|(r, op)| r.map_err(|cause| cause.for_op(op))).collect()
+        results
+            .into_iter()
+            .zip(ops)
+            .map(|(r, op)| r.map_err(|cause| cause.for_op(op.as_ref())))
+            .collect()
     }
 
     /// Hit/miss totals since this cache was created.

@@ -16,9 +16,10 @@ use crate::error::SimError;
 use crate::mapper::{DataflowSet, PaddingMode};
 use crate::vector::{cost_vector_op, SoftmaxMode};
 use fast_arch::DatapathConfig;
-use fast_ir::{build_regions, Graph, NodeId, OpKind, RegionGraph, RegionId};
+use fast_ir::{Graph, NodeId, PlanOp, RegionId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Quality of the schedule-generation stack.
 ///
@@ -84,10 +85,10 @@ impl SimOptions {
 pub struct NodePerf {
     /// Node id in the source graph.
     pub node: NodeId,
-    /// Node name.
-    pub name: String,
+    /// Node name, shared with the graph's plan.
+    pub name: Arc<str>,
     /// Operator class (`Conv2D`, `DepthwiseConv2dNative`, …).
-    pub class: String,
+    pub class: &'static str,
     /// Group tag (MBConv block / encoder layer) if any.
     pub group: Option<u32>,
     /// Compute seconds on one core.
@@ -106,8 +107,8 @@ pub struct NodePerf {
 pub struct RegionPerf {
     /// Region id (doubles as execution order `o(i)`).
     pub region: RegionId,
-    /// Display name.
-    pub name: String,
+    /// Display name, shared with the graph's plan.
+    pub name: Arc<str>,
     /// Group tag if any.
     pub group: Option<u32>,
     /// Compute seconds (the T_min floor).
@@ -291,6 +292,11 @@ pub fn simulate(
 /// pipeline. Bit-identical to [`simulate`]: the cache stores pure mapper
 /// results keyed by everything the mapper reads.
 ///
+/// Everything that does not depend on the datapath — loop nests, vector-op
+/// counts, the fusion-region table — comes from the graph's cached
+/// [`fast_ir::SimPlan`], lowered on the first simulation of the graph. Each
+/// call prices the plan's ops on `cfg` and sums them per region.
+///
 /// # Errors
 /// Returns the first [`SimError`] (constraint Eq. 5).
 pub fn simulate_staged(
@@ -299,173 +305,106 @@ pub fn simulate_staged(
     opts: &SimOptions,
     mapper: &MapperCache,
 ) -> Result<WorkloadPerf, SimError> {
+    let plan = graph.sim_plan();
     let clock_hz = cfg.clock_ghz * 1e9 * opts.schedule_quality.efficiency();
     let bw = cfg.dram_bytes_per_sec_per_core();
     let on_chip_bytes = cfg.global_memory_bytes()
         + cfg.pes_per_core() * cfg.l1_bytes_per_pe()
         + cfg.pes_per_core() * cfg.l2_bytes_per_pe();
 
-    let mut nodes = Vec::with_capacity(graph.len());
-    let mut node_compute = vec![0.0f64; graph.len()];
-    let mut node_is_matrix = vec![false; graph.len()];
-    let mut node_spill = vec![0u64; graph.len()];
-
-    // Pass 1: gather every matrix op's nest, then price them through the
-    // cache in one batch — misses share one L1 check and a contiguous
-    // costing pass. Results come back in node order, so taking the first
-    // error below reports exactly the op a per-node loop would have.
-    let mut matrix_nests = Vec::new();
-    let mut matrix_ops = Vec::new();
-    for node in graph.nodes() {
-        if let Some(nest) = graph.loop_nest(node.id()) {
-            matrix_nests.push(nest);
-            matrix_ops.push(node.name());
-        }
-    }
-    let mut mapped = mapper.map_batch(&matrix_nests, cfg, opts, &matrix_ops).into_iter();
-
-    for node in graph.nodes() {
-        let id = node.id();
-        let (compute_seconds, sa_util, spill) = if graph.loop_nest(id).is_some() {
-            let mapping = mapped.next().expect("one batched mapping per matrix op")?;
-            (mapping.compute_cycles as f64 / clock_hz, Some(mapping.utilization), 0u64)
-        } else {
-            let in_elements: u64 =
-                node.inputs().iter().map(|&i| graph.node(i).shape().elements()).sum();
-            let fits = graph.node_working_set(id) <= on_chip_bytes;
-            let cost = cost_vector_op(
-                node.kind(),
-                cfg,
-                node.shape().elements(),
-                in_elements,
-                opts.softmax,
-                fits,
-            );
-            (cost.compute_cycles as f64 / clock_hz, None, cost.spill_bytes)
+    // Price every matrix op through the cache in one batch — misses share
+    // one L1 check and a contiguous costing pass. Results come back in node
+    // order, so taking the first error below reports exactly the op a
+    // per-node walk would have.
+    let mut mapped = mapper.map_batch(&plan.nests, cfg, opts, &plan.nest_names).into_iter();
+    let mut nodes = Vec::with_capacity(plan.nodes.len());
+    let mut node_spill = vec![0u64; plan.nodes.len()];
+    for n in &plan.nodes {
+        let (compute_seconds, sa_utilization, spill) = match n.op {
+            PlanOp::Matrix => {
+                let mapping = mapped.next().expect("one batched mapping per matrix op")?;
+                (mapping.compute_cycles as f64 / clock_hz, Some(mapping.utilization), 0)
+            }
+            PlanOp::Vector { kind, in_elements, out_elements, working_set } => {
+                let cost = cost_vector_op(
+                    &kind,
+                    cfg,
+                    out_elements,
+                    in_elements,
+                    opts.softmax,
+                    working_set <= on_chip_bytes,
+                );
+                (cost.compute_cycles as f64 / clock_hz, None, cost.spill_bytes)
+            }
         };
-        node_compute[id.index()] = compute_seconds;
-        node_is_matrix[id.index()] = sa_util.is_some();
-        node_spill[id.index()] = spill;
-
-        let own_dram = graph.node_input_bytes(id)
-            + graph.node_output_bytes(id)
-            + graph.node_accessed_weight_bytes(id)
-            + spill;
-        let unfused_seconds = compute_seconds.max(own_dram as f64 / bw);
+        node_spill[n.id.index()] = spill;
         nodes.push(NodePerf {
-            node: id,
-            name: node.name().to_string(),
-            class: node.kind().class_name().to_string(),
-            group: node.group(),
+            node: n.id,
+            name: Arc::clone(&n.name),
+            class: n.class,
+            group: n.group,
             compute_seconds,
-            unfused_seconds,
-            flops: graph.node_flops(id),
-            sa_utilization: sa_util,
+            unfused_seconds: compute_seconds.max((n.dram_bytes + spill) as f64 / bw),
+            flops: n.flops,
+            sa_utilization,
         });
     }
 
-    let region_graph: RegionGraph = build_regions(graph);
-    // Map region ids to execution-order indices over compute regions.
-    let mut order_of: HashMap<RegionId, usize> = HashMap::new();
-    for (k, r) in region_graph.compute_regions().enumerate() {
-        order_of.insert(r.id(), k);
-    }
     let gm = cfg.global_memory_bytes();
-    let mut regions = Vec::new();
+    let mut regions = Vec::with_capacity(plan.regions.len());
     let mut compute_total = 0.0;
     let mut dram_seconds_total = 0.0;
     let mut dram_total = 0u64;
-    for r in region_graph.compute_regions() {
+    for r in &plan.regions {
         // Within a fused region the VPU runs concurrently with the systolic
         // array (element-wise epilogues stream through as matrix results
         // drain), so region compute is the max of the two pipelines.
-        let matrix_seconds: f64 = r
-            .nodes
-            .iter()
-            .filter(|n| node_is_matrix[n.index()])
-            .map(|n| node_compute[n.index()])
-            .sum();
-        let vector_seconds: f64 = r
-            .nodes
-            .iter()
-            .filter(|n| !node_is_matrix[n.index()])
-            .map(|n| node_compute[n.index()])
-            .sum();
+        let matrix_seconds: f64 = r.matrix.iter().map(|n| nodes[n.index()].compute_seconds).sum();
+        let vector_seconds: f64 = r.vector.iter().map(|n| nodes[n.index()].compute_seconds).sum();
         let compute_seconds = matrix_seconds.max(vector_seconds);
-        let spill_bytes: u64 = r.nodes.iter().map(|n| node_spill[n.index()]).sum();
-        let primary_in_bytes = region_graph
-            .fan_in(r.id())
-            .into_iter()
-            .map(|e| e.bytes)
-            .max()
-            .unwrap_or(0)
-            .min(r.external_in_bytes);
-        let t_in = primary_in_bytes as f64 / bw;
-        let t_fixed = (spill_bytes + (r.external_in_bytes - primary_in_bytes)) as f64 / bw;
-        let t_out = r.output_bytes as f64 / bw;
+        let spill_bytes: u64 = r.vector.iter().map(|n| node_spill[n.index()]).sum();
+        let t_in = r.primary_in_bytes as f64 / bw;
+        let t_fixed = (spill_bytes + (r.in_bytes - r.primary_in_bytes)) as f64 / bw;
+        let t_out = r.out_bytes as f64 / bw;
         let t_weight = r.weight_bytes as f64 / bw;
-        let t_min = compute_seconds.max(t_fixed);
-        let t_max = compute_seconds.max(t_fixed + t_in + t_out + t_weight);
-        let resident_buffer_bytes =
-            if gm == 0 { 0 } else { (r.external_in_bytes + r.output_bytes).min(gm / 8) };
-        let primary_input =
-            region_graph.primary_input(r.id()).and_then(|p| order_of.get(&p).copied());
-        let row_streamable = r.nodes.iter().all(|&n| {
-            matches!(
-                graph.node(n).kind(),
-                OpKind::BatchMatMul(_)
-                    | OpKind::Softmax(_)
-                    | OpKind::Norm(_)
-                    | OpKind::Elementwise(_)
-                    | OpKind::DataMovement
-            )
-        });
         compute_total += compute_seconds;
         dram_seconds_total += t_fixed + t_in + t_out + t_weight;
-        dram_total += r.dram_bytes() + spill_bytes;
+        dram_total += r.in_bytes + r.out_bytes + r.weight_bytes + spill_bytes;
         regions.push(RegionPerf {
-            region: r.id(),
-            name: r.name.clone(),
+            region: r.id,
+            name: Arc::clone(&r.name),
             group: r.group,
             compute_seconds,
             flops: r.flops,
-            in_bytes: r.external_in_bytes,
-            primary_in_bytes,
-            out_bytes: r.output_bytes,
+            in_bytes: r.in_bytes,
+            primary_in_bytes: r.primary_in_bytes,
+            out_bytes: r.out_bytes,
             weight_bytes: r.weight_bytes,
             weight_store_bytes: r.weight_store_bytes,
             spill_bytes,
-            t_min,
-            t_max,
+            t_min: compute_seconds.max(t_fixed),
+            t_max: compute_seconds.max(t_fixed + t_in + t_out + t_weight),
             t_in,
             t_fixed,
             t_out,
             t_weight,
-            resident_buffer_bytes,
-            primary_input,
-            row_streamable,
+            resident_buffer_bytes: if gm == 0 { 0 } else { (r.in_bytes + r.out_bytes).min(gm / 8) },
+            primary_input: r.primary_input,
+            row_streamable: r.row_streamable,
         });
     }
 
-    let batch = graph
-        .nodes()
-        .find(|n| matches!(n.kind(), OpKind::Input))
-        .map(|n| *n.shape().dims().first().unwrap_or(&1))
-        .unwrap_or(1);
-    let matrix_flops: u64 =
-        graph.nodes().filter(|n| n.kind().is_matrix_op()).map(|n| graph.node_flops(n.id())).sum();
-
     Ok(WorkloadPerf {
         workload: graph.name().to_string(),
-        batch_per_core: batch,
+        batch_per_core: plan.batch,
         cores: cfg.cores,
         nodes,
         regions,
         compute_seconds: compute_total,
         dram_seconds: dram_seconds_total,
         prefusion_seconds: compute_total.max(dram_seconds_total),
-        total_flops: graph.total_flops(),
-        matrix_flops,
+        total_flops: plan.total_flops,
+        matrix_flops: plan.matrix_flops,
         peak_flops_per_core: cfg.peak_flops() / cfg.cores as f64,
         prefusion_dram_bytes: dram_total,
     })

@@ -57,7 +57,7 @@ fn batching_crossover() {
 fn depthwise_dominates_tpu_runtime() {
     let g = EfficientNet::B7.build(64).unwrap();
     let perf = simulate(&g, &presets::tpu_v3(), &SimOptions::tpu_baseline()).unwrap();
-    let rows = perf.time_by(|n| n.class.clone());
+    let rows = perf.time_by(|n| n.class.to_string());
     let total: f64 = rows.iter().map(|r| r.1).sum();
     let dw = rows.iter().find(|r| r.0 == "DepthwiseConv2dNative").unwrap();
     assert!(dw.1 / total > 0.5, "dw runtime share {}", dw.1 / total);
