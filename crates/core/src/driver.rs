@@ -242,9 +242,10 @@ pub struct SearchReport {
 /// for the wall-clock-bounded exact-ILP caveat.)
 ///
 /// **Durability:** [`Durability::Checkpointed`] persists both the study
-/// checkpoint (`study.bin`) and the evaluator's cache (`eval_cache.bin`)
-/// under the directory, so a killed search resumes bit-identically and
-/// re-pays at most the rounds since the last save.
+/// checkpoint (`study.bin`, every `every` rounds) and the evaluator's cache
+/// (`eval_cache.bin` and friends, appended every round and sealed when the
+/// study finishes) under the directory, so a killed search resumes
+/// bit-identically and re-simulates at most the round in flight.
 #[derive(Clone)]
 pub struct FastStudy<'e> {
     evaluator: &'e Evaluator,
@@ -345,21 +346,10 @@ impl<'e> FastStudy<'e> {
         if let Some(path) = &cache_path {
             // Warm the shared cache from a prior run's snapshot; a missing
             // or damaged file degrades to a cold cache.
-            let _ = self.evaluator.load_eval_cache(path);
+            let _ = self.evaluator.attach_eval_cache(path, true);
         }
         let before = self.evaluator.cache_stats();
         let staged_before = self.evaluator.staged_cache_stats();
-        // Misses already represented in the on-disk snapshots; rounds that
-        // add nothing to a tier skip that tier's re-save.
-        let mut marks = self.evaluator.save_marks();
-        // Persist the cache on the same round cadence as the study
-        // checkpoint — a per-trial round size must not rewrite the whole
-        // cache every trial.
-        let save_every = match &self.durability {
-            Durability::Checkpointed { every, .. } => (*every).max(1),
-            Durability::Ephemeral => 1,
-        };
-        let mut rounds = 0usize;
         let parallel = matches!(self.execution, Execution::Parallel { .. });
         let score = |p: &Vec<usize>| match self.evaluator.evaluate_point(&space, p) {
             Ok(eval) => TrialResult::Valid(eval.objective_value).into(),
@@ -371,13 +361,10 @@ impl<'e> FastStudy<'e> {
             } else {
                 points.iter().map(score).collect()
             };
-            // Round boundary: persist newly-simulated results so a kill
-            // mid-search only re-pays the rounds since the last save.
+            // Round boundary: append newly-computed results so a kill
+            // mid-search only re-pays the round in flight.
             if let Some(path) = &cache_path {
-                rounds += 1;
-                if rounds.is_multiple_of(save_every) {
-                    self.evaluator.save_eval_cache_if_new(path, &mut marks);
-                }
+                self.evaluator.save_eval_cache_if_new(path);
             }
             scored
         };
@@ -419,10 +406,10 @@ impl<'e> FastStudy<'e> {
         let best =
             study.best_point.as_ref().and_then(|p| self.evaluator.evaluate_point(&space, p).ok());
         if let Some(path) = &cache_path {
-            // Completion save: the thinned cadence above may have skipped
-            // the final rounds' simulations (the study checkpoint gets the
-            // same forced final save).
-            self.evaluator.save_eval_cache_if_new(path, &mut marks);
+            // Completion: append what decoding the best point computed (if
+            // anything), then seal each tier file into one segment.
+            self.evaluator.save_eval_cache_if_new(path);
+            Evaluator::seal_eval_cache(path);
         }
         let after = self.evaluator.cache_stats();
         Ok(SearchReport {

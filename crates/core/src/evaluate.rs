@@ -772,110 +772,127 @@ impl Evaluator {
     ///
     /// Each write is atomic (temp file + rename), so a process killed
     /// mid-save leaves either the previous snapshot or a temp file the
-    /// loader never looks at — never a torn snapshot. Entries are sorted by
-    /// encoded key, so equal caches produce byte-identical files. The sim
-    /// tier is not persisted: it rebuilds from a warm op tier at assembly
-    /// speed, without re-running the mapper.
+    /// loader never looks at — never a torn snapshot. Each file is one
+    /// canonical segment: entries sorted by encoded key, so equal caches
+    /// produce byte-identical files. The sim tier is not persisted: it
+    /// rebuilds from a warm op tier at assembly speed, without re-running
+    /// the mapper.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save_eval_cache(&self, path: &Path) -> std::io::Result<(usize, usize)> {
-        let op = write_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, self.mapper.export())?;
-        let fuse = write_tier(path, FUSE_MAGIC, FUSE_VERSION, self.fuses.export())?;
+        let op =
+            write_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, &self.mapper.export())?;
+        let fuse = write_tier(path, FUSE_MAGIC, FUSE_VERSION, &self.fuses.export())?;
         // The warm tier rides along only when the exact solver actually ran
         // (see `warm_tier_path`); its entry count is deliberately not part
         // of the return contract.
         if !self.warm.is_empty() {
-            write_tier(&Self::warm_tier_path(path), WARM_MAGIC, WARM_VERSION, self.warm.export())?;
+            write_tier(&Self::warm_tier_path(path), WARM_MAGIC, WARM_VERSION, &self.warm.export())?;
         }
         Ok((op, fuse))
     }
 
-    /// [`Evaluator::save_eval_cache`], but per tier and only when that tier
-    /// holds results not yet represented on disk: `marks` carries the miss
-    /// counts at the last successful save and is advanced on success. A
-    /// fusion-only round (new fuse solves, no new mapper work) rewrites
-    /// only the small fuse file, never the op tier; rounds that computed
-    /// nothing new write nothing. Failures warn and leave the mark
-    /// unchanged — the next boundary retries. Shared by the checkpointed
-    /// drivers ([`crate::FastStudy`], [`crate::SweepRunner`]).
-    pub fn save_eval_cache_if_new(&self, path: &Path, marks: &mut SavedCacheMarks) {
-        let stats = self.staged_cache_stats();
-        if stats.op.misses > marks.op_misses {
-            let op_path = Self::op_tier_path(path);
-            match write_tier(&op_path, OP_MAGIC, OP_VERSION, self.mapper.export()) {
-                Ok(_) => marks.op_misses = stats.op.misses,
-                Err(e) => {
-                    crate::warn::warning(format_args!(
-                        "could not write cache snapshot {}: {e}",
-                        op_path.display()
-                    ));
-                }
-            }
+    /// Attaches an append-only checkpoint at `path` — what a checkpointed
+    /// driver ([`crate::FastStudy`], [`crate::SweepRunner`]) does before
+    /// its first round. Turns on the persistent tiers' new-entry logs, so
+    /// [`Evaluator::save_eval_cache_if_new`] can append exactly what was
+    /// computed since. With `resume`, loads the files like
+    /// [`Evaluator::load_eval_cache`], rewrites a file whose torn tail the
+    /// loader dropped as one canonical segment of its whole segments, and
+    /// removes a file the loader rejected, so appends never land after
+    /// damage. Without `resume`, the session starts a fresh checkpoint:
+    /// existing tier files are removed.
+    ///
+    /// Entries already in memory when the log turns on are not appended:
+    /// a checkpoint holds what its sessions loaded or computed.
+    pub(crate) fn attach_eval_cache(&self, path: &Path, resume: bool) -> CacheLoadReport {
+        self.mapper.track_new();
+        self.fuses.track_new();
+        self.warm.track_new();
+        if resume {
+            return self.load_tiers(path, true);
         }
-        if stats.fuse.misses > marks.fuse_misses {
-            match write_tier(path, FUSE_MAGIC, FUSE_VERSION, self.fuses.export()) {
-                Ok(_) => marks.fuse_misses = stats.fuse.misses,
-                Err(e) => {
-                    crate::warn::warning(format_args!(
-                        "could not write cache snapshot {}: {e}",
-                        path.display()
-                    ));
-                }
-            }
+        for file in [Self::op_tier_path(path), path.to_path_buf(), Self::warm_tier_path(path)] {
+            remove_tier_file(&file);
         }
-        let warm_entries = self.warm.len() as u64;
-        if warm_entries > marks.warm_entries {
-            let warm_path = Self::warm_tier_path(path);
-            match write_tier(&warm_path, WARM_MAGIC, WARM_VERSION, self.warm.export()) {
-                Ok(_) => marks.warm_entries = warm_entries,
-                Err(e) => {
-                    crate::warn::warning(format_args!(
-                        "could not write cache snapshot {}: {e}",
-                        warm_path.display()
-                    ));
-                }
-            }
-        }
+        CacheLoadReport::default()
     }
 
-    /// Current per-tier miss counts, as the starting [`SavedCacheMarks`]
-    /// for [`Evaluator::save_eval_cache_if_new`] — "everything computed so
-    /// far is already represented on disk".
-    #[must_use]
-    pub fn save_marks(&self) -> SavedCacheMarks {
-        let stats = self.staged_cache_stats();
-        SavedCacheMarks {
-            op_misses: stats.op.misses,
-            fuse_misses: stats.fuse.misses,
-            warm_entries: self.warm.len() as u64,
-        }
+    /// Appends, per persistent tier, one sorted segment holding the entries
+    /// first computed since the previous call — each entry is written once,
+    /// by whichever session saves next, and a tier that computed nothing
+    /// writes nothing. Needs [`Evaluator::attach_eval_cache`] first (until
+    /// then the logs are off and nothing is appended). A failed append
+    /// warns and is cut back off the file; its entries are then missing
+    /// from the checkpoint and a resume recomputes them.
+    pub(crate) fn save_eval_cache_if_new(&self, path: &Path) {
+        append_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, &self.mapper.take_new());
+        append_tier(path, FUSE_MAGIC, FUSE_VERSION, &self.fuses.take_new());
+        append_tier(&Self::warm_tier_path(path), WARM_MAGIC, WARM_VERSION, &self.warm.take_new());
     }
 
-    /// Loads a [`Evaluator::save_eval_cache`] snapshot pair from `path` and
-    /// merges both tiers into this evaluator's (shared) caches.
+    /// Seals the checkpoint at `path` once its session finished: rewrites
+    /// each multi-segment tier file atomically as one canonical segment —
+    /// byte-identical to what [`Evaluator::save_eval_cache`] writes for the
+    /// same entries, so finished checkpoints of equal sweeps `cmp` equal
+    /// and merge byte-identically. A file that cannot be read is left as it
+    /// is, with a warning.
+    pub(crate) fn seal_eval_cache(path: &Path) {
+        seal_tier::<OpKey, Result<Mapping, MapFailure>>(
+            &Self::op_tier_path(path),
+            OP_MAGIC,
+            OP_VERSION,
+            "op",
+        );
+        seal_tier::<FuseKey, FusedSummary>(path, FUSE_MAGIC, FUSE_VERSION, "fuse");
+        seal_tier::<StructureKey, Vec<Placement>>(
+            &Self::warm_tier_path(path),
+            WARM_MAGIC,
+            WARM_VERSION,
+            "warm",
+        );
+    }
+
+    /// Loads a [`Evaluator::save_eval_cache`] snapshot pair (or a
+    /// checkpoint's append-only tier files) from `path` and merges every
+    /// tier into this evaluator's (shared) caches.
     ///
     /// **Never fails and never poisons results:** a missing file is simply
-    /// a cold tier, and any damage — truncation, a wrong version byte
-    /// (including pre-split `eval_cache.bin` files, whose version no longer
-    /// matches), endian-swapped or otherwise corrupt bytes — is detected by
-    /// the envelope (magic/version/length/checksum) or the decoders,
-    /// reported through the [`crate::warn`] sink (stderr unless routed),
-    /// and degrades that tier to cold. Existing in-memory
-    /// entries always win over loaded ones. Loaded entries count as neither
-    /// hits nor misses until they answer an evaluation.
+    /// a cold tier. A file that ends inside its last segment — a process
+    /// killed mid-append — keeps every whole segment before it, with a
+    /// warning. Any other damage — a wrong version byte (including
+    /// pre-split `eval_cache.bin` files, whose version no longer matches),
+    /// endian-swapped or otherwise corrupt bytes — is detected by the
+    /// envelope (magic/version/length/checksum) or the decoders and
+    /// degrades that tier to cold. Warnings go through the [`crate::warn`]
+    /// sink (stderr unless routed). Existing in-memory entries always win
+    /// over loaded ones. Loaded entries count as neither hits nor misses
+    /// until they answer an evaluation. Files are only read.
     pub fn load_eval_cache(&self, path: &Path) -> CacheLoadReport {
+        self.load_tiers(path, false)
+    }
+
+    /// [`Evaluator::load_eval_cache`]; with `repair`, also rewrites each
+    /// recovered or damaged file (see [`Evaluator::attach_eval_cache`]).
+    fn load_tiers(&self, path: &Path, repair: bool) -> CacheLoadReport {
         let mut warnings: Vec<String> = Vec::new();
         let op_entries: Vec<(OpKey, Result<Mapping, MapFailure>)> =
-            read_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, "op", &mut warnings);
+            read_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, "op", repair, &mut warnings);
         let op_loaded = op_entries.len();
         self.mapper.merge(op_entries);
         let fuse_entries: Vec<(FuseKey, FusedSummary)> =
-            read_tier(path, FUSE_MAGIC, FUSE_VERSION, "fuse", &mut warnings);
+            read_tier(path, FUSE_MAGIC, FUSE_VERSION, "fuse", repair, &mut warnings);
         let fuse_loaded = fuse_entries.len();
         self.fuses.merge(fuse_entries);
-        let warm_entries: Vec<(StructureKey, Vec<Placement>)> =
-            read_tier(&Self::warm_tier_path(path), WARM_MAGIC, WARM_VERSION, "warm", &mut warnings);
+        let warm_entries: Vec<(StructureKey, Vec<Placement>)> = read_tier(
+            &Self::warm_tier_path(path),
+            WARM_MAGIC,
+            WARM_VERSION,
+            "warm",
+            repair,
+            &mut warnings,
+        );
         let warm_loaded = warm_entries.len();
         self.warm.merge(warm_entries);
         CacheLoadReport {
@@ -905,13 +922,21 @@ pub(crate) const WARM_MAGIC: [u8; 8] = *b"FASTWRM1";
 /// Warm-start-tier format version.
 pub(crate) const WARM_VERSION: u32 = 1;
 
-/// Atomically writes one tier snapshot; returns the entry count.
-pub(crate) fn write_tier<K: Encode, V: Encode>(
-    path: &Path,
+// A tier file is a run of one or more segments. Each segment is one
+// `serde::bin` envelope whose payload is an entry count followed by that
+// many `(key, value)` encodings, sorted by encoded key. A file written in
+// one go ([`write_tier`]) is a single segment; a checkpoint appends one
+// segment per save ([`append_tier`]) and is sealed back to a single
+// segment when its session finishes ([`seal_tier`]). A one-segment file is
+// exactly the pre-append format, so no version changed.
+
+/// One canonical segment holding `entries`, sorted by encoded key. Returns
+/// the segment's bytes and its entry count.
+fn encode_segment<K: Encode, V: Encode>(
     magic: [u8; 8],
     version: u32,
-    entries: Vec<(K, V)>,
-) -> std::io::Result<usize> {
+    entries: &[(K, V)],
+) -> (Vec<u8>, usize) {
     let mut encoded: Vec<(Vec<u8>, Vec<u8>)> =
         entries.iter().map(|(k, v)| (k.to_bytes(), v.to_bytes())).collect();
     encoded.sort();
@@ -921,11 +946,100 @@ pub(crate) fn write_tier<K: Encode, V: Encode>(
         payload.put_bytes(k);
         payload.put_bytes(v);
     }
-    let file = bin::write_envelope(magic, version, &payload.into_bytes());
+    (bin::write_envelope(magic, version, &payload.into_bytes()), encoded.len())
+}
+
+/// Atomically writes one tier file as a single canonical segment; returns
+/// the entry count.
+pub(crate) fn write_tier<K: Encode, V: Encode>(
+    path: &Path,
+    magic: [u8; 8],
+    version: u32,
+    entries: &[(K, V)],
+) -> std::io::Result<usize> {
+    let (file, count) = encode_segment(magic, version, entries);
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, &file)?;
     std::fs::rename(&tmp, path)?;
-    Ok(encoded.len())
+    Ok(count)
+}
+
+/// Appends `entries` to a tier file as one segment (nothing when empty).
+/// A failed write warns and truncates the file back to its old length, so
+/// the next append still starts on a segment boundary.
+fn append_tier<K: Encode, V: Encode>(
+    path: &Path,
+    magic: [u8; 8],
+    version: u32,
+    entries: &[(K, V)],
+) {
+    use std::io::Write as _;
+    if entries.is_empty() {
+        return;
+    }
+    let (segment, _) = encode_segment(magic, version, entries);
+    let appended =
+        std::fs::OpenOptions::new().create(true).append(true).open(path).and_then(|mut file| {
+            let len = file.metadata()?.len();
+            file.write_all(&segment).inspect_err(|_| {
+                let _ = file.set_len(len);
+            })
+        });
+    if let Err(e) = appended {
+        crate::warn::warning(format_args!(
+            "could not append to cache snapshot {}: {e}",
+            path.display()
+        ));
+    }
+}
+
+/// Replaces a tier file by one canonical segment of `entries`, or removes
+/// it when there are none; failures warn.
+fn rewrite_tier<K: Encode, V: Encode>(
+    path: &Path,
+    magic: [u8; 8],
+    version: u32,
+    entries: &[(K, V)],
+) {
+    if entries.is_empty() {
+        remove_tier_file(path);
+    } else if let Err(e) = write_tier(path, magic, version, entries) {
+        crate::warn::warning(format_args!(
+            "could not rewrite cache snapshot {}: {e}",
+            path.display()
+        ));
+    }
+}
+
+/// Removes a tier file; a missing one is fine, other failures warn.
+fn remove_tier_file(path: &Path) {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            crate::warn::warning(format_args!(
+                "could not remove cache snapshot {}: {e}",
+                path.display()
+            ));
+        }
+        _ => {}
+    }
+}
+
+/// Seals one tier file: a file of several segments is rewritten as one; a
+/// missing or single-segment file is left alone; an unreadable one is left
+/// alone with a warning.
+fn seal_tier<K: Encode + Decode, V: Encode + Decode>(
+    path: &Path,
+    magic: [u8; 8],
+    version: u32,
+    tier: &str,
+) {
+    match read_tier_file::<K, V>(path, magic, version, tier) {
+        Err(TierReadError::Missing) | Ok(TierFile { segments: 1, torn: None, .. }) => {}
+        Ok(TierFile { entries, torn: None, .. }) => rewrite_tier(path, magic, version, &entries),
+        Ok(TierFile { torn: Some(what), .. }) | Err(TierReadError::Damaged(what)) => {
+            crate::warn::warning(format_args!("could not seal cache snapshot — {what}"));
+        }
+    }
 }
 
 /// Why a tier snapshot could not be adopted.
@@ -938,81 +1052,154 @@ pub(crate) enum TierReadError {
     Damaged(String),
 }
 
-/// Reads one tier snapshot strictly: the caller decides whether damage
+/// A tier file read segment by segment.
+struct TierFile<K, V> {
+    /// The entries of every whole segment, in file order.
+    entries: Vec<(K, V)>,
+    /// How many whole segments were read.
+    segments: usize,
+    /// Set when the file ends inside a segment — what a process killed
+    /// mid-append leaves — naming the tier, the file and the torn bytes.
+    torn: Option<String>,
+}
+
+/// Reads a tier file's segments in order. A segment is adopted whole or
+/// not at all; damage inside any segment fails the whole file, while a
+/// file that ends inside its last segment returns the segments before it
+/// and says so in [`TierFile::torn`]. (An empty file is a torn first
+/// segment.)
+fn read_tier_file<K: Decode, V: Decode>(
+    path: &Path,
+    magic: [u8; 8],
+    version: u32,
+    tier: &str,
+) -> Result<TierFile<K, V>, TierReadError> {
+    let damaged = |what: String| {
+        TierReadError::Damaged(format!("{tier} tier snapshot {}: {what}", path.display()))
+    };
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(TierReadError::Missing),
+        Err(e) => return Err(damaged(e.to_string())),
+    };
+    let mut file = TierFile { entries: Vec::new(), segments: 0, torn: None };
+    let mut at = 0;
+    while at < bytes.len() || file.segments == 0 {
+        let rest = &bytes[at..];
+        let Some(end) = segment_end(rest, magic, version) else {
+            file.torn = Some(format!(
+                "{tier} tier snapshot {}: torn final segment at byte {at} ({} bytes)",
+                path.display(),
+                rest.len()
+            ));
+            break;
+        };
+        // Offsets in envelope errors count from the segment's first byte.
+        let segment = |what: String| {
+            damaged(if at == 0 { what } else { format!("segment at byte {at}: {what}") })
+        };
+        let payload =
+            bin::read_envelope(magic, version, &rest[..end]).map_err(|e| segment(e.to_string()))?;
+        decode_segment(payload, &mut file.entries).map_err(segment)?;
+        file.segments += 1;
+        at += end;
+    }
+    Ok(file)
+}
+
+/// The length of the segment that starts `rest`, or `None` when `rest` is
+/// a strict prefix of a segment of this tier (the file ends inside it).
+/// Bytes that cannot start such a segment claim all of `rest`, so the
+/// envelope check reports why.
+fn segment_end(rest: &[u8], magic: [u8; 8], version: u32) -> Option<usize> {
+    // Envelope header: magic (8 bytes), version (u32), payload length
+    // (u64), checksum (u64), little-endian.
+    let mut tag = magic.to_vec();
+    tag.extend_from_slice(&version.to_le_bytes());
+    let seen = rest.len().min(tag.len());
+    if rest[..seen] != tag[..seen] {
+        return Some(rest.len());
+    }
+    if rest.len() < bin::ENVELOPE_HEADER_LEN {
+        return None;
+    }
+    let len = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes"));
+    let end = usize::try_from(len).ok()?.checked_add(bin::ENVELOPE_HEADER_LEN)?;
+    (end <= rest.len()).then_some(end)
+}
+
+/// Decodes one segment's payload onto `out`.
+fn decode_segment<K: Decode, V: Decode>(
+    payload: &[u8],
+    out: &mut Vec<(K, V)>,
+) -> Result<(), String> {
+    let mut r = Reader::new(payload);
+    let count = r.get_u64().map_err(|e| e.to_string())?;
+    for _ in 0..count {
+        out.push(<(K, V)>::decode(&mut r).map_err(|e| e.to_string())?);
+    }
+    if !r.is_done() {
+        return Err(format!("{} trailing bytes", r.remaining()));
+    }
+    Ok(())
+}
+
+/// Reads one tier file strictly: the caller decides whether damage
 /// degrades (the warm-start loader) or aborts (the merge pipeline, where a
 /// silently dropped shard would break the merged == single-process
-/// bit-identity contract). A snapshot is adopted whole or not at all:
-/// everything decodes before anything is returned.
+/// bit-identity contract). Any damage fails, a torn final segment
+/// included; everything decodes before anything is returned.
 pub(crate) fn read_tier_strict<K: Decode, V: Decode>(
     path: &Path,
     magic: [u8; 8],
     version: u32,
     tier: &str,
 ) -> Result<Vec<(K, V)>, TierReadError> {
-    let damaged =
-        |what: String| Err(TierReadError::Damaged(format!("{tier} tier snapshot {what}")));
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(TierReadError::Missing),
-        Err(e) => return damaged(format!("{}: {e}", path.display())),
-    };
-    let payload = match bin::read_envelope(magic, version, &bytes) {
-        Ok(p) => p,
-        Err(e) => return damaged(format!("{}: {e}", path.display())),
-    };
-    let mut r = Reader::new(payload);
-    let count = match r.get_u64() {
-        Ok(c) => c,
-        Err(e) => return damaged(format!("{}: {e}", path.display())),
-    };
-    let mut decoded = Vec::new();
-    for _ in 0..count {
-        match <(K, V)>::decode(&mut r) {
-            Ok(pair) => decoded.push(pair),
-            Err(e) => return damaged(format!("{}: {e}", path.display())),
-        }
+    let file = read_tier_file(path, magic, version, tier)?;
+    match file.torn {
+        Some(what) => Err(TierReadError::Damaged(what)),
+        None => Ok(file.entries),
     }
-    if !r.is_done() {
-        return damaged(format!("{}: {} trailing bytes", path.display(), r.remaining()));
-    }
-    Ok(decoded)
 }
 
-/// [`read_tier_strict`] with the warm-start policy: a missing file is
-/// silently cold, damage is logged (naming the tier file and failing byte
-/// region) and degrades to cold.
-fn read_tier<K: Decode, V: Decode>(
+/// [`read_tier_file`] with the warm-start policy: a missing file is
+/// silently cold; a torn final segment keeps the whole segments before it;
+/// other damage degrades to cold. Both warn, naming the tier file and the
+/// failing byte region. With `repair`, a recovered file is rewritten as one
+/// canonical segment of what was kept, and a damaged one is removed.
+fn read_tier<K: Encode + Decode, V: Encode + Decode>(
     path: &Path,
     magic: [u8; 8],
     version: u32,
     tier: &str,
+    repair: bool,
     warnings: &mut Vec<String>,
 ) -> Vec<(K, V)> {
-    match read_tier_strict(path, magic, version, tier) {
-        Ok(entries) => entries,
-        Err(TierReadError::Missing) => Vec::new(),
+    let (entries, what) = match read_tier_file(path, magic, version, tier) {
+        Ok(TierFile { entries, torn: None, .. }) => return entries,
+        Err(TierReadError::Missing) => return Vec::new(),
+        Ok(TierFile { entries, torn: Some(what), .. }) => {
+            crate::warn::warning(format_args!(
+                "evaluation-cache snapshot cut short — {what}; kept the {} entries of the \
+                 whole segments before it",
+                entries.len()
+            ));
+            (entries, what)
+        }
         Err(TierReadError::Damaged(what)) => {
             crate::warn::warning(format_args!("evaluation-cache snapshot ignored — {what}"));
-            warnings.push(what);
-            Vec::new()
+            (Vec::new(), what)
         }
+    };
+    warnings.push(what);
+    if repair {
+        rewrite_tier(path, magic, version, &entries);
     }
-}
-
-/// Per-tier miss counts at the last successful snapshot save — the
-/// "what is already on disk" cursor of [`Evaluator::save_eval_cache_if_new`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SavedCacheMarks {
-    /// Op-tier (Stage A) miss count at the last op-file save.
-    pub op_misses: u64,
-    /// Fuse-tier (Stage C) miss count at the last fuse-file save.
-    pub fuse_misses: u64,
-    /// Warm-tier incumbent count at the last warm-file save.
-    pub warm_entries: u64,
+    entries
 }
 
 /// Outcome of [`Evaluator::load_eval_cache`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheLoadReport {
     /// Op-tier entries merged (0 when that tier was cold).
     pub op_loaded: usize,
@@ -1021,8 +1208,9 @@ pub struct CacheLoadReport {
     /// Warm-tier incumbents merged (0 when that tier was cold — the usual
     /// case: only exact-fusion studies write warm files).
     pub warm_loaded: usize,
-    /// Why a snapshot file was rejected, if one was (also logged to
-    /// stderr); `None` when every tier loaded (or was simply absent).
+    /// Why a snapshot file was cut short or rejected, if one was (also
+    /// logged to stderr); `None` when every tier loaded whole (or was
+    /// simply absent).
     pub warning: Option<String>,
 }
 
@@ -1650,12 +1838,11 @@ mod tests {
     fn fusion_only_rounds_rewrite_only_the_fuse_file() {
         let e = evaluator(Objective::Qps);
         let path = scratch("marks.bin");
-        let mut marks = e.save_marks();
-        assert_eq!(marks, SavedCacheMarks::default());
+        let _ = e.attach_eval_cache(&path, false);
 
         // Round 1: fresh simulation — both files written.
         let _ = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        e.save_eval_cache_if_new(&path, &mut marks);
+        e.save_eval_cache_if_new(&path);
         let op_path = Evaluator::op_tier_path(&path);
         let op_mtime = |p: &Path| std::fs::metadata(p).unwrap().modified().unwrap();
         assert!(path.exists() && op_path.exists());
@@ -1663,22 +1850,63 @@ mod tests {
         let t0 = op_mtime(&op_path);
 
         // Round 2: a fusion-only change (same datapath, new options) — the
-        // op tier gained nothing, so only the fuse file may be rewritten.
+        // op tier gained nothing, so only the fuse file may change, and it
+        // only grows by the new entry's segment.
         let sweep = e
             .clone()
             .with_fusion(FusionOptions { residency_window: 1, ..FusionOptions::default() });
         let _ = sweep.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
         let fuse_before = std::fs::read(&path).unwrap();
-        sweep.save_eval_cache_if_new(&path, &mut marks);
+        sweep.save_eval_cache_if_new(&path);
         assert_eq!(std::fs::read(&op_path).unwrap(), op_written, "op tier must not be rewritten");
         assert_eq!(op_mtime(&op_path), t0, "op tier file untouched by a fusion-only round");
-        assert_ne!(std::fs::read(&path).unwrap(), fuse_before, "fuse tier gained an entry");
+        let fuse_after = std::fs::read(&path).unwrap();
+        assert!(fuse_after.len() > fuse_before.len(), "fuse tier gained an entry");
+        assert!(fuse_after.starts_with(&fuse_before), "appended, not rewritten");
 
-        // Round 3: nothing new — neither file is rewritten.
-        let fuse_now = std::fs::read(&path).unwrap();
+        // Round 3: nothing new — neither file changes.
         let _ = sweep.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        sweep.save_eval_cache_if_new(&path, &mut marks);
-        assert_eq!(std::fs::read(&path).unwrap(), fuse_now);
+        sweep.save_eval_cache_if_new(&path);
+        assert_eq!(std::fs::read(&path).unwrap(), fuse_after);
         assert_eq!(std::fs::read(&op_path).unwrap(), op_written);
+    }
+
+    #[test]
+    fn sealed_checkpoint_equals_a_full_snapshot_and_torn_tails_keep_whole_segments() {
+        let e = evaluator(Objective::Qps);
+        let path = scratch("sealed.bin");
+        let _ = e.attach_eval_cache(&path, false);
+        let mut small = presets::fast_large();
+        small.pes_x /= 2;
+        for cfg in [presets::fast_large(), small] {
+            let _ = e.evaluate(&cfg, &SimOptions::default()).unwrap();
+            e.save_eval_cache_if_new(&path);
+        }
+        let fuse_segments = std::fs::read(&path).unwrap();
+        let reference = scratch("sealed-reference.bin");
+        e.save_eval_cache(&reference).unwrap();
+        assert_ne!(fuse_segments, std::fs::read(&reference).unwrap(), "two appended segments");
+
+        // A torn second segment: the loader keeps the first and warns; the
+        // strict reader refuses the file.
+        let cut = scratch("sealed-cut.bin");
+        std::fs::write(&cut, &fuse_segments[..fuse_segments.len() - 3]).unwrap();
+        let fresh = e.fresh_eval_cache();
+        let report = fresh.load_eval_cache(&cut);
+        assert_eq!(report.fuse_loaded, 1, "the whole first segment survives");
+        let warning = report.warning.unwrap();
+        assert!(warning.contains("torn final segment") && warning.contains("sealed-cut.bin"));
+        assert!(matches!(
+            read_tier_strict::<FuseKey, FusedSummary>(&cut, FUSE_MAGIC, FUSE_VERSION, "fuse"),
+            Err(TierReadError::Damaged(what)) if what.contains("torn")
+        ));
+
+        // Sealing gives the full snapshot's bytes, for both tiers.
+        Evaluator::seal_eval_cache(&path);
+        assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&reference).unwrap());
+        assert_eq!(
+            std::fs::read(Evaluator::op_tier_path(&path)).unwrap(),
+            std::fs::read(Evaluator::op_tier_path(&reference)).unwrap()
+        );
     }
 }

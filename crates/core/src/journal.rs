@@ -8,16 +8,19 @@
 //! ```text
 //! <root>/jobs/job-000001/job.bin         the accepted JobSpec (FASTJOB1)
 //! <root>/jobs/job-000001/eval_cache.bin  the job's Checkpointer pair —
-//! <root>/jobs/job-000001/eval_cache.op.bin   written while the sweep runs
+//! <root>/jobs/job-000001/eval_cache.op.bin   appended while the sweep runs
 //! <root>/jobs/job-000001/sweep.bin       the job's scenario ledger
 //! <root>/jobs/job-000001/result.bin      final records (FASTJRS1); its
 //!                                        existence marks the job done
 //! ```
 //!
-//! Every file is written atomically (temp + rename), so a job is always in
-//! exactly one of three states: **pending** (spec recorded, no result — in
-//! flight or never started), **done** (result recorded), or **damaged**
-//! (spec unreadable). On restart a server replays [`JobJournal::jobs`]:
+//! The spec, ledger and result files are written atomically (temp +
+//! rename). The cache files grow by one appended segment per round that
+//! computed something and are sealed into one segment when the job
+//! finishes; a kill mid-append leaves a torn final segment, which a resume
+//! drops. So a job is always in exactly one of three states: **pending**
+//! (spec recorded, no result — in flight or never started), **done**
+//! (result recorded), or **damaged** (spec unreadable). On restart a server replays [`JobJournal::jobs`]:
 //! done jobs serve their recorded result, pending jobs re-run through
 //! [`crate::SweepRunner::run_session`] with `resume: true` against their
 //! checkpoint directory — bit-identical to an uninterrupted run by the

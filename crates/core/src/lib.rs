@@ -52,8 +52,8 @@ pub use analysis::{
 pub use driver::{FastStudy, OptimizerKind, SearchConfig, SearchReport};
 // The unified study axes, re-exported so driver callers need one import.
 pub use evaluate::{
-    CacheLoadReport, CacheStats, DesignEval, EvalError, Evaluator, Objective, SavedCacheMarks,
-    SolverStats, StagedCacheStats, WorkloadEval,
+    CacheLoadReport, CacheStats, DesignEval, EvalError, Evaluator, Objective, SolverStats,
+    StagedCacheStats, WorkloadEval,
 };
 pub use fast_search::{
     Durability, Execution, Fidelity, FidelityReport, StudyConfigError, StudyObjective, StudyReport,

@@ -9,9 +9,10 @@
 //! one full-matrix ledger, re-running [`ParetoArchive`] insertion over every
 //! recorded frontier. The merged directory is then indistinguishable from a
 //! single-process [`crate::SweepRunner::run_checkpointed`] checkpoint — byte
-//! for byte, because [`crate::evaluate`] writes tier entries sorted by
-//! encoded key and evaluation is deterministic, so the union of the shard
-//! entry sets *is* the single-process entry set.
+//! for byte, because a finished checkpoint's tier files are sealed into one
+//! segment of entries sorted by encoded key and evaluation is
+//! deterministic, so the union of the shard entry sets *is* the
+//! single-process entry set.
 //!
 //! # Conflict policy
 //!
@@ -20,8 +21,9 @@
 //! the merged == single-process contract. Every abnormality is therefore a
 //! hard [`MergeError`]:
 //!
-//! * a missing, truncated, version-skewed or checksum-damaged shard snapshot
-//!   ([`MergeError::Snapshot`] / [`MergeError::Ledger`]);
+//! * a missing, truncated (a torn final segment included), version-skewed
+//!   or checksum-damaged shard snapshot ([`MergeError::Snapshot`] /
+//!   [`MergeError::Ledger`]);
 //! * the same tier key bound to two different values — impossible under
 //!   deterministic evaluation, so it means a poisoned or stale shard
 //!   ([`MergeError::TierConflict`]);

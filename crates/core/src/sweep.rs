@@ -367,20 +367,24 @@ impl SweepResult {
 
 /// Writes sweep progress to disk so a killed sweep can be resumed.
 ///
-/// Two files live under the checkpoint directory:
+/// Two kinds of file live under the checkpoint directory:
 ///
-/// * `eval_cache.bin` — the shared evaluation cache
-///   ([`Evaluator::save_eval_cache`]), refreshed at every study round that
-///   ran new simulations. This is the expensive state: after a mid-scenario
-///   kill, the resumed scenario re-proposes the same points (determinism
-///   contract) and answers them from this snapshot.
+/// * `eval_cache.bin` (+ `eval_cache.op.bin`, and `eval_cache.warm.bin`
+///   under exact fusion) — the evaluation-cache tiers. Every study round
+///   that computed new entries appends them as one segment per tier file;
+///   a session that finishes its range seals each file back into one
+///   canonical segment, the same bytes [`Evaluator::save_eval_cache`]
+///   writes. This is the expensive state: after a mid-scenario kill, the
+///   resumed scenario re-proposes the same points (determinism contract)
+///   and answers them from these files.
 /// * `sweep.bin` — the scenario ledger: a fingerprint of `(matrix, config)`
 ///   plus a [`CompletedScenario`] record per finished scenario, rewritten
-///   at every scenario boundary.
+///   atomically (temp file + rename) at every scenario boundary.
 ///
-/// Both writes are atomic (temp file + rename) and both loads degrade to
-/// "no checkpoint" on any damage or fingerprint mismatch — resuming can
-/// cost re-simulation, never correctness.
+/// A kill mid-append leaves a torn final segment, which the resume drops
+/// (keeping the whole segments before it). Any other damage, or a
+/// fingerprint mismatch, degrades to "no checkpoint" — resuming can cost
+/// re-simulation, never correctness.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     dir: PathBuf,
@@ -755,10 +759,12 @@ impl SweepRunner {
         )
     }
 
-    /// [`SweepRunner::run`], saving checkpoints as it goes: the evaluation
-    /// cache at every round that simulated something new, the scenario
-    /// ledger at every scenario boundary. The sweep result is identical to
-    /// [`SweepRunner::run`]'s; the process merely becomes killable.
+    /// [`SweepRunner::run`], saving checkpoints as it goes: each round that
+    /// computed something new appends it to the evaluation-cache files,
+    /// each scenario boundary rewrites the ledger, and the finished sweep
+    /// seals the cache files into one segment each. The sweep result is
+    /// identical to [`SweepRunner::run`]'s; the process merely becomes
+    /// killable.
     #[must_use]
     pub fn run_checkpointed(&self, ck: &Checkpointer) -> SweepResult {
         self.run_impl(None, Some(ck), false, None, None, None)
@@ -787,7 +793,8 @@ impl SweepRunner {
     /// Runs only the first `limit` scenarios (with checkpointing) and stops
     /// — a time-boxed prefix run. The returned result covers the prefix;
     /// [`SweepRunner::resume`] later completes the matrix from the
-    /// checkpoint as if the prefix run had been killed at the boundary.
+    /// checkpoint as if the prefix run had been killed at the boundary (so
+    /// the cache files are left unsealed, as a kill leaves them).
     #[must_use]
     pub fn run_prefix(&self, ck: &Checkpointer, limit: usize) -> SweepResult {
         self.run_impl(None, Some(ck), false, None, Some(limit), None)
@@ -901,18 +908,18 @@ impl SweepRunner {
 
         let fingerprint = self.fingerprint();
         let mut ledger: HashMap<String, CompletedScenario> = HashMap::new();
-        if resume {
-            if let Some(ck) = ck {
-                let report = proto.load_eval_cache(&ck.cache_path());
-                if report.loaded() > 0 {
-                    crate::warn::note(format_args!(
-                        "resuming: {} cached results loaded from {} ({} op-tier, {} fuse-tier)",
-                        report.loaded(),
-                        ck.cache_path().display(),
-                        report.op_loaded,
-                        report.fuse_loaded,
-                    ));
-                }
+        if let Some(ck) = ck {
+            let report = proto.attach_eval_cache(&ck.cache_path(), resume);
+            if report.loaded() > 0 {
+                crate::warn::note(format_args!(
+                    "resuming: {} cached results loaded from {} ({} op-tier, {} fuse-tier)",
+                    report.loaded(),
+                    ck.cache_path().display(),
+                    report.op_loaded,
+                    report.fuse_loaded,
+                ));
+            }
+            if resume {
                 ledger = ck
                     .load_ledger(fingerprint, &range, total)
                     .into_iter()
@@ -920,10 +927,6 @@ impl SweepRunner {
                     .collect();
             }
         }
-        // Misses already represented in the on-disk snapshots; rounds that
-        // add nothing to a tier skip that tier's re-save (a fusion-only
-        // round rewrites only the small fuse file).
-        let mut marks = proto.save_marks();
         let mut completed: Vec<CompletedScenario> = Vec::new();
         let save_ledger = |completed: &[CompletedScenario]| {
             if let Some(ck) = ck {
@@ -977,10 +980,10 @@ impl SweepRunner {
                         Err(_) => MultiObjective::Invalid,
                     })
                     .collect();
-                // Round boundary: persist newly-simulated results so a
-                // kill mid-scenario only re-pays this round's proposals.
+                // Round boundary: append newly-computed results so a kill
+                // mid-scenario only re-pays this round's proposals.
                 if let Some(ck) = ck {
-                    evaluator.save_eval_cache_if_new(&ck.cache_path(), &mut marks);
+                    evaluator.save_eval_cache_if_new(&ck.cache_path());
                 }
                 points.iter().map(|p| scored[index_of[p]].clone()).collect::<Vec<_>>()
             };
@@ -1105,6 +1108,11 @@ impl SweepRunner {
             });
         }
 
+        if let (Some(ck), None) = (ck, limit) {
+            // The range is finished: one canonical segment per tier file. A
+            // time-boxed prefix run stands in for a kill and stays unsealed.
+            Evaluator::seal_eval_cache(&ck.cache_path());
+        }
         let total_after = proto.cache_stats();
         SweepResult {
             scenarios,

@@ -482,12 +482,21 @@ fn structure_key_from_elig(
 /// study output.
 #[derive(Debug, Default)]
 pub struct WarmStartTier {
-    entries: std::sync::Mutex<std::collections::HashMap<StructureKey, Vec<Placement>>>,
+    entries: std::sync::Mutex<WarmEntries>,
     warm_hits: std::sync::atomic::AtomicU64,
     warm_misses: std::sync::atomic::AtomicU64,
     warm_nodes: std::sync::atomic::AtomicU64,
     cold_nodes: std::sync::atomic::AtomicU64,
     lp_pivots: std::sync::atomic::AtomicU64,
+}
+
+/// What the warm tier's lock guards: the incumbents, plus the log of keys
+/// recorded since the last [`WarmStartTier::take_new`] (`None` until
+/// [`WarmStartTier::track_new`]).
+#[derive(Debug, Default)]
+struct WarmEntries {
+    map: std::collections::HashMap<StructureKey, Vec<Placement>>,
+    new: Option<Vec<StructureKey>>,
 }
 
 impl WarmStartTier {
@@ -500,7 +509,7 @@ impl WarmStartTier {
     /// Incumbent recorded for `key`, if any. Counts a warm hit or miss.
     fn lookup(&self, key: &StructureKey) -> Option<Vec<Placement>> {
         use std::sync::atomic::Ordering;
-        let got = self.entries.lock().expect("warm tier poisoned").get(key).cloned();
+        let got = self.entries.lock().expect("warm tier poisoned").map.get(key).cloned();
         if got.is_some() {
             self.warm_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -512,11 +521,14 @@ impl WarmStartTier {
     /// Records the incumbent decided for `key`. First write wins (matching
     /// the evaluation tiers' merge semantics).
     fn record(&self, key: StructureKey, placements: &[Placement]) {
-        self.entries
-            .lock()
-            .expect("warm tier poisoned")
-            .entry(key)
-            .or_insert_with(|| placements.to_vec());
+        let mut guard = self.entries.lock().expect("warm tier poisoned");
+        let WarmEntries { map, new } = &mut *guard;
+        if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(key) {
+            slot.insert(placements.to_vec());
+            if let Some(log) = new {
+                log.push(key);
+            }
+        }
     }
 
     /// Accumulates one exact solve's work into the counters.
@@ -546,7 +558,7 @@ impl WarmStartTier {
     /// Number of remembered incumbents.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("warm tier poisoned").len()
+        self.entries.lock().expect("warm tier poisoned").map.len()
     }
 
     /// Whether the tier holds no incumbents.
@@ -561,17 +573,37 @@ impl WarmStartTier {
         self.entries
             .lock()
             .expect("warm tier poisoned")
+            .map
             .iter()
             .map(|(k, v)| (*k, v.clone()))
             .collect()
     }
 
-    /// Merges persisted entries; existing entries win.
+    /// Merges persisted entries; existing entries win. Merged entries never
+    /// join the new-entry log.
     pub fn merge(&self, entries: Vec<(StructureKey, Vec<Placement>)>) {
-        let mut map = self.entries.lock().expect("warm tier poisoned");
+        let mut guard = self.entries.lock().expect("warm tier poisoned");
         for (k, v) in entries {
-            map.entry(k).or_insert(v);
+            guard.map.entry(k).or_insert(v);
         }
+    }
+
+    /// Turns on the new-entry log: from now on every incumbent recorded
+    /// under a new key is logged until a [`WarmStartTier::take_new`]
+    /// returns it. Idempotent.
+    pub fn track_new(&self) {
+        self.entries.lock().expect("warm tier poisoned").new.get_or_insert_with(Vec::new);
+    }
+
+    /// Drains the new-entry log: the incumbents recorded under new keys
+    /// since the previous call, each returned by exactly one call. Empty
+    /// when the log is off.
+    #[must_use]
+    pub fn take_new(&self) -> Vec<(StructureKey, Vec<Placement>)> {
+        let mut guard = self.entries.lock().expect("warm tier poisoned");
+        let WarmEntries { map, new } = &mut *guard;
+        let Some(log) = new else { return Vec::new() };
+        log.drain(..).map(|k| (k, map[&k].clone())).collect()
     }
 }
 
@@ -1675,6 +1707,34 @@ mod tests {
         assert_ne!(structure_key(&a.regions, &opts), structure_key(&other.regions, &opts));
         let narrow = FusionOptions { residency_window: 1, ..FusionOptions::default() };
         assert_ne!(structure_key(&a.regions, &opts), structure_key(&a.regions, &narrow));
+    }
+
+    #[test]
+    fn warm_tier_logs_each_new_incumbent_once_while_tracking() {
+        let opts = exact_opts();
+        let cfg = presets::fast_large();
+        let perf = perf_of(Workload::EfficientNet(EfficientNet::B0), 1, &cfg);
+        let solve = |tier: &WarmStartTier| {
+            let _ = fuse_regions_warm(
+                &perf.regions,
+                perf.compute_seconds,
+                cfg.global_memory_bytes(),
+                &opts,
+                &perf.workload,
+                Some(tier),
+            );
+        };
+        let untracked = WarmStartTier::new();
+        solve(&untracked);
+        assert_eq!(untracked.len(), 1);
+        assert!(untracked.take_new().is_empty(), "no log unless tracking");
+
+        let tier = WarmStartTier::new();
+        tier.track_new();
+        solve(&tier);
+        assert_eq!(tier.take_new(), tier.export(), "the new incumbent, once");
+        solve(&tier);
+        assert!(tier.take_new().is_empty(), "a warm re-solve records nothing new");
     }
 
     #[test]

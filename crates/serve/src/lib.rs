@@ -23,9 +23,9 @@
 //!
 //! Correctness leans entirely on contracts the lower layers already
 //! guarantee: the determinism contract (same spec ⇒ same study, whatever
-//! the cache temperature), the [`fast_core::Checkpointer`]'s atomic
-//! snapshots, and the [`fast_core::JobJournal`]'s atomic spec/result
-//! records. The server adds no state of its own that needs to survive a
+//! the cache temperature), the [`fast_core::Checkpointer`]'s append-only
+//! cache files (whose torn tails a resume drops), and the
+//! [`fast_core::JobJournal`]'s atomic spec/result records. The server adds no state of its own that needs to survive a
 //! crash — the journal directory *is* the server's durable state.
 
 pub mod client;

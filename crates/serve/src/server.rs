@@ -22,12 +22,19 @@
 //! # Crash recovery
 //!
 //! On startup the server replays its journal: every job directory's
-//! evaluation-cache snapshot is merged into the shared evaluator (warming
-//! it across restarts), and every job with a spec but no result re-enters
-//! the queue in id order. Because each job resumes from its own checkpoint
+//! evaluation-cache files are merged into the shared evaluator (warming it
+//! across restarts), and every job with a spec but no result re-enters the
+//! queue in id order. Because each job resumes from its own checkpoint
 //! and the determinism contract fixes what a study computes, a job
 //! interrupted by `kill -9` finishes with frontiers **bit-identical** to
 //! an uninterrupted run — the only observable difference is cache traffic.
+//!
+//! Each cache entry the shared evaluator computes is appended once, to the
+//! directory of whichever job saves next, so a job directory holds what
+//! the daemon computed while it ran — not a copy of the whole shared
+//! cache. The startup merge over every directory rebuilds the complete
+//! cache; a job directory resumed on its own may recompute entries that
+//! another job's directory holds.
 //!
 //! Sharing one evaluator across concurrent jobs is safe for the same
 //! reason: the staged tiers are concurrent-safe and memoize pure

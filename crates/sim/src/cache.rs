@@ -127,37 +127,59 @@ pub struct CacheStats {
 /// is the one miss) regardless of thread scheduling. The building block of
 /// every stage cache in the evaluation pipeline — the op tier here, the
 /// sim and fuse tiers in `fast-core`.
+///
+/// A persisted tier can also log its first-computed entries
+/// ([`Tier::track_new`]) so an append-only checkpoint writes each entry
+/// once ([`Tier::take_new`]) instead of re-exporting the whole table.
 pub struct Tier<K, V> {
-    entries: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    entries: Mutex<Entries<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+type Cell<V> = Arc<OnceLock<V>>;
+
+/// What the tier's lock guards: the table, plus the log of first-computed
+/// entries not yet taken (`None` until [`Tier::track_new`]).
+struct Entries<K, V> {
+    map: HashMap<K, Cell<V>>,
+    new: Option<Vec<(K, Cell<V>)>>,
+}
+
+impl<K: Eq + Hash + Clone, V> Entries<K, V> {
+    /// The cell for `key` and whether this call created it (the key's one
+    /// miss); a created cell joins the new-entry log when it is on.
+    fn cell(&mut self, key: K) -> (Cell<V>, bool) {
+        match self.map.entry(key) {
+            std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                let cell: Cell<V> = Arc::new(OnceLock::new());
+                if let Some(log) = &mut self.new {
+                    log.push((e.key().clone(), cell.clone()));
+                }
+                (e.insert(cell).clone(), true)
+            }
+        }
+    }
 }
 
 impl<K, V> Default for Tier<K, V> {
     fn default() -> Self {
         Tier {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries { map: HashMap::new(), new: None }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 }
 
-impl<K: Eq + Hash, V: Clone> Tier<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> Tier<K, V> {
     /// The memoized value for `key`, running `compute` only if this is the
     /// key's first asker; concurrent askers block until the winner's value
     /// is ready and adopt it, so every reader of a key observes one single
     /// result.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let (cell, winner) = {
-            let mut entries = self.entries.lock().expect("cache tier poisoned");
-            match entries.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    (e.insert(Arc::new(OnceLock::new())).clone(), true)
-                }
-            }
-        };
+        let (cell, winner) = self.entries.lock().expect("cache tier poisoned").cell(key);
         if winner {
             self.misses.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -190,17 +212,14 @@ impl<K: Eq + Hash, V: Clone> Tier<K, V> {
         {
             let mut entries = self.entries.lock().expect("cache tier poisoned");
             for (i, key) in keys.into_iter().enumerate() {
-                match entries.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        cells.push(e.get().clone());
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        owned.push(i);
-                        cells.push(e.insert(Arc::new(OnceLock::new())).clone());
-                    }
+                let (cell, winner) = entries.cell(key);
+                if winner {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    owned.push(i);
+                } else {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                 }
+                cells.push(cell);
             }
         }
         if !owned.is_empty() {
@@ -230,7 +249,7 @@ impl<K: Eq + Hash, V: Clone> Tier<K, V> {
     /// Number of memoized entries (pending ones included).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("cache tier poisoned").len()
+        self.entries.lock().expect("cache tier poisoned").map.len()
     }
 
     /// Whether the tier is empty.
@@ -242,29 +261,56 @@ impl<K: Eq + Hash, V: Clone> Tier<K, V> {
     /// Initialized `(key, value)` pairs, for persistence layers (pending
     /// cells are skipped).
     #[must_use]
-    pub fn export(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-    {
+    pub fn export(&self) -> Vec<(K, V)> {
         self.entries
             .lock()
             .expect("cache tier poisoned")
+            .map
             .iter()
             .filter_map(|(k, cell)| cell.get().map(|v| (k.clone(), v.clone())))
             .collect()
     }
 
     /// Merges already-computed values (e.g. from a loaded snapshot);
-    /// existing entries win over merged ones.
+    /// existing entries win over merged ones. Merged entries are already
+    /// persisted somewhere, so they never join the new-entry log.
     pub fn merge(&self, entries: impl IntoIterator<Item = (K, V)>) {
-        let mut map = self.entries.lock().expect("cache tier poisoned");
+        let mut guard = self.entries.lock().expect("cache tier poisoned");
         for (k, v) in entries {
-            map.entry(k).or_insert_with(|| {
+            guard.map.entry(k).or_insert_with(|| {
                 let cell = OnceLock::new();
                 let _ = cell.set(v);
                 Arc::new(cell)
             });
         }
+    }
+
+    /// Turns on the new-entry log: from now on every key this tier
+    /// computes first is logged until a [`Tier::take_new`] returns it.
+    /// Idempotent. Off by default, so a tier nobody checkpoints keeps no
+    /// log.
+    pub fn track_new(&self) {
+        self.entries.lock().expect("cache tier poisoned").new.get_or_insert_with(Vec::new);
+    }
+
+    /// Drains the finished entries of the new-entry log: every key first
+    /// computed since the previous call (or since [`Tier::track_new`]) comes
+    /// out of exactly one call, in first-asked order. A key whose value is
+    /// still being computed stays logged for a later call. Empty when the
+    /// log is off.
+    #[must_use]
+    pub fn take_new(&self) -> Vec<(K, V)> {
+        let done: Vec<(K, Cell<V>)> = {
+            let mut guard = self.entries.lock().expect("cache tier poisoned");
+            let Some(log) = guard.new.as_mut() else { return Vec::new() };
+            let (done, pending) =
+                std::mem::take(log).into_iter().partition(|(_, cell)| cell.get().is_some());
+            *log = pending;
+            done
+        };
+        done.into_iter()
+            .map(|(k, cell)| (k, cell.get().expect("partitioned as finished").clone()))
+            .collect()
     }
 }
 
@@ -368,6 +414,17 @@ impl MapperCache {
     /// Existing in-memory entries win over merged ones.
     pub fn merge(&self, entries: impl IntoIterator<Item = (OpKey, Result<Mapping, MapFailure>)>) {
         self.tier.merge(entries);
+    }
+
+    /// Turns on the new-entry log ([`Tier::track_new`]).
+    pub fn track_new(&self) {
+        self.tier.track_new();
+    }
+
+    /// Mapper results first computed since the last call ([`Tier::take_new`]).
+    #[must_use]
+    pub fn take_new(&self) -> Vec<(OpKey, Result<Mapping, MapFailure>)> {
+        self.tier.take_new()
     }
 }
 
@@ -492,6 +549,101 @@ mod tests {
         let m = other.map(&nest(8, 28, 256, 256), &cfg, &opts, "a").unwrap();
         assert_eq!(m, cache.map(&nest(8, 28, 256, 256), &cfg, &opts, "a").unwrap());
         assert_eq!(other.stats().misses, 0);
+    }
+
+    #[test]
+    fn take_new_drains_every_first_computed_key_exactly_once_under_concurrency() {
+        let tier: Tier<u64, u64> = Tier::default();
+        tier.track_new();
+        let tier = &tier;
+        let asking = std::sync::atomic::AtomicBool::new(true);
+        let drained = std::thread::scope(|s| {
+            let asking = &asking;
+            let drainer = s.spawn(move || {
+                let mut got = Vec::new();
+                while asking.load(Ordering::Acquire) {
+                    got.extend(tier.take_new());
+                    std::thread::yield_now();
+                }
+                got
+            });
+            // Four askers over overlapping key ranges, half through the
+            // batched path.
+            let askers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    s.spawn(move || {
+                        let keys: Vec<u64> = (t * 50..t * 50 + 100).collect();
+                        if t % 2 == 0 {
+                            for &k in &keys {
+                                assert_eq!(tier.get_or_compute(k, || k * k), k * k);
+                            }
+                        } else {
+                            let got = tier.get_or_compute_batch(
+                                keys.clone(),
+                                |owned| owned.iter().map(|&i| keys[i] * keys[i]).collect(),
+                                |i| keys[i] * keys[i],
+                            );
+                            assert!(got.iter().zip(&keys).all(|(v, k)| *v == k * k));
+                        }
+                    })
+                })
+                .collect();
+            for asker in askers {
+                asker.join().unwrap();
+            }
+            asking.store(false, Ordering::Release);
+            let mut got = drainer.join().unwrap();
+            got.extend(tier.take_new());
+            got
+        });
+        let mut keys: Vec<u64> = drained.iter().map(|&(k, _)| k).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..250).collect::<Vec<_>>(), "each key drained exactly once");
+        assert!(drained.iter().all(|&(k, v)| v == k * k));
+        assert_eq!(tier.stats().misses, 250);
+    }
+
+    #[test]
+    fn take_new_keeps_a_pending_key_for_a_later_drain() {
+        let tier: Tier<u64, u64> = Tier::default();
+        tier.track_new();
+        let tier = &tier;
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let slow = s.spawn(move || {
+                tier.get_or_compute(7, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    49
+                })
+            });
+            started_rx.recv().unwrap();
+            assert_eq!(tier.get_or_compute(1, || 1), 1);
+            assert_eq!(tier.take_new(), vec![(1, 1)], "key 7 is still being computed");
+            release_tx.send(()).unwrap();
+            assert_eq!(slow.join().unwrap(), 49);
+        });
+        assert_eq!(tier.take_new(), vec![(7, 49)], "the pending key comes out once finished");
+        assert!(tier.take_new().is_empty());
+    }
+
+    #[test]
+    fn a_tier_whose_log_was_never_turned_on_records_nothing() {
+        let tier: Tier<u64, u64> = Tier::default();
+        let _ = tier.get_or_compute(1, || 1);
+        let _ = tier.get_or_compute_batch(
+            vec![2, 3],
+            |owned| owned.iter().map(|&i| i as u64).collect(),
+            |i| i as u64,
+        );
+        assert!(tier.take_new().is_empty());
+        tier.track_new();
+        assert!(tier.take_new().is_empty(), "turning the log on does not backfill it");
+        tier.merge([(9, 81)]);
+        assert!(tier.take_new().is_empty(), "merged entries are persisted already");
+        assert_eq!(tier.get_or_compute(4, || 16), 16);
+        assert_eq!(tier.take_new(), vec![(4, 16)]);
     }
 
     /// Strategy over arbitrary-ish loop nests (power-of-two-free on purpose:

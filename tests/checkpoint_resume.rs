@@ -10,11 +10,13 @@
 //!   durability in both modes);
 //! * the contract extends to [`Fidelity::Screened`] sweeps: the resumed
 //!   run reproduces the exact surrogate accounting, not just the frontier;
-//! * damaged checkpoint files degrade to a cold — but still correct — run.
+//! * damaged checkpoint files degrade to a cold — but still correct — run,
+//!   and the resume leaves files equal to an uninterrupted run's;
+//! * a tier file cut inside its last append keeps its whole segments.
 
 use fast::core::{
-    BudgetLevel, Checkpointer, Fidelity, Objective, ScenarioMatrix, SurrogateTier, SweepConfig,
-    SweepRunner,
+    merge_eval_caches, BudgetLevel, Checkpointer, Fidelity, MergeError, Objective, ScenarioMatrix,
+    SurrogateTier, SweepConfig, SweepRunner,
 };
 use fast::prelude::*;
 use std::path::PathBuf;
@@ -254,10 +256,14 @@ fn make_seeded(seeds: &[Vec<usize>]) -> Box<dyn fast::search::Optimizer> {
 }
 
 /// Corrupt checkpoint artifacts must never poison a resume: the run falls
-/// back to cold and still matches the uninterrupted result.
+/// back to cold and still matches the uninterrupted result, and the
+/// finished checkpoint loads cleanly and its files equal those of an
+/// uninterrupted checkpointed run.
 #[test]
 fn corrupt_checkpoints_degrade_to_cold_but_correct_runs() {
     let uninterrupted = SweepRunner::new(matrix(), config()).run();
+    let clean = Checkpointer::new(scratch_dir("corrupt-clean")).unwrap();
+    let _ = SweepRunner::new(matrix(), config()).run_checkpointed(&clean);
 
     for (name, damage) in
         [("truncated", b"FASTEVC1".to_vec()), ("garbage", vec![0x5Au8; 512]), ("empty", Vec::new())]
@@ -270,5 +276,95 @@ fn corrupt_checkpoints_degrade_to_cold_but_correct_runs() {
         for (a, b) in uninterrupted.scenarios.iter().zip(&resumed.scenarios) {
             assert_eq!(a.frontier_points, b.frontier_points, "{name}: {}", a.scenario.name);
         }
+        let report = fresh_evaluator().load_eval_cache(&ck.cache_path());
+        assert_eq!(report.warning, None, "{name}: the resumed checkpoint loads cleanly");
+        assert_checkpoint_files_equal(&clean, &ck, name);
     }
+}
+
+/// An evaluator with empty caches, for loading checkpoints into.
+fn fresh_evaluator() -> Evaluator {
+    Evaluator::new(Vec::new(), Objective::Qps, Budget::paper_default())
+}
+
+/// `cmp` of the two checkpoints' tier files and ledgers.
+fn assert_checkpoint_files_equal(want: &Checkpointer, got: &Checkpointer, what: &str) {
+    for path in [want.cache_path(), Evaluator::op_tier_path(&want.cache_path()), want.sweep_path()]
+    {
+        let name = path.file_name().unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == std::fs::read(got.dir().join(name)).unwrap(),
+            "{what}: {} differs from the uninterrupted run's",
+            name.to_string_lossy()
+        );
+    }
+}
+
+/// Byte offsets at which each segment of a tier file starts. A segment is
+/// one envelope: magic (8 bytes), version (4), payload length (8),
+/// checksum (8), payload.
+fn segment_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        starts.push(at);
+        let len = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap());
+        at += 28 + usize::try_from(len).unwrap();
+    }
+    assert_eq!(at, bytes.len(), "segments tile the file");
+    starts
+}
+
+/// A kill in the middle of an append leaves the op file's last segment
+/// torn. The loader keeps every whole segment before it and warns, the
+/// merger refuses the file, and a resume finishes with frontiers and
+/// files equal to an uninterrupted checkpointed run's.
+#[test]
+fn torn_op_tier_tail_keeps_whole_segments_and_resumes_to_identical_files() {
+    let uninterrupted = SweepRunner::new(matrix(), config()).run();
+    let clean = Checkpointer::new(scratch_dir("torn-clean")).unwrap();
+    let _ = SweepRunner::new(matrix(), config()).run_checkpointed(&clean);
+
+    let ck = Checkpointer::new(scratch_dir("torn")).unwrap();
+    let _ = SweepRunner::new(matrix(), config()).run_prefix(&ck, 2);
+    let op_path = Evaluator::op_tier_path(&ck.cache_path());
+    let bytes = std::fs::read(&op_path).unwrap();
+    let starts = segment_starts(&bytes);
+    assert!(starts.len() > 1, "a prefix run appends one segment per round");
+    let last = *starts.last().unwrap();
+
+    // The entries of the whole segments, loaded from a copy holding only
+    // them.
+    let whole_dir = Checkpointer::new(scratch_dir("torn-whole")).unwrap();
+    std::fs::write(Evaluator::op_tier_path(&whole_dir.cache_path()), &bytes[..last]).unwrap();
+    let whole = fresh_evaluator().load_eval_cache(&whole_dir.cache_path());
+    assert_eq!(whole.warning, None);
+    assert!(whole.op_loaded > 0);
+
+    std::fs::write(&op_path, &bytes[..last + (bytes.len() - last) / 2]).unwrap();
+    let (report, lines) =
+        fast::core::warn::capture(|| fresh_evaluator().load_eval_cache(&ck.cache_path()));
+    assert_eq!(report.op_loaded, whole.op_loaded, "every whole segment is kept");
+    assert!(report.fuse_loaded > 0, "the fuse tier is untouched");
+    let named = |line: &str| line.contains(&op_path.display().to_string());
+    assert!(lines.len() == 1 && named(&lines[0]), "one warning naming the file: {lines:?}");
+    assert!(report.warning.as_deref().is_some_and(named));
+
+    let merged = scratch_dir("torn-merged").join("eval_cache.bin");
+    std::fs::create_dir_all(merged.parent().unwrap()).unwrap();
+    match merge_eval_caches(&[ck.cache_path()], &merged) {
+        Err(MergeError::Snapshot(what)) => {
+            assert!(what.contains(&op_path.display().to_string()), "names the file: {what}");
+        }
+        other => panic!("a torn tail must be a hard merge error, got {other:?}"),
+    }
+
+    let resumed = SweepRunner::new(matrix(), config()).resume(&ck);
+    assert_eq!(resumed.scenarios.len(), uninterrupted.scenarios.len());
+    for (a, b) in uninterrupted.scenarios.iter().zip(&resumed.scenarios) {
+        assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
+        assert_eq!(a.invalid_trials, b.invalid_trials, "{}", a.scenario.name);
+        assert_eq!(a.best_objective.map(f64::to_bits), b.best_objective.map(f64::to_bits));
+    }
+    assert_checkpoint_files_equal(&clean, &ck, "resumed after a torn tail");
 }
