@@ -8,8 +8,8 @@
 //! Before timing anything it asserts the determinism contract (staged ==
 //! monolithic objective values, bit for bit) and the exact per-stage
 //! traffic of a cold staged sweep ([`EXPECTED_TRAFFIC`]) — the reuse that
-//! staging exists for. It then times one sweep each way and a fixed
-//! calibration kernel, and writes `BENCH_eval.json`: staged and monolithic
+//! staging exists for. It then times one sweep each way and the fixed
+//! kernel of `fast_bench::calibration`, and writes `BENCH_eval.json`: staged and monolithic
 //! seconds, their ratio (informational), the calibration seconds,
 //! `staged_norm` (staged ÷ calibration, which cancels the runner's speed
 //! and is what `bench_trend --check-fresh` gates) and per-stage hit/miss
@@ -17,11 +17,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fast_arch::Budget;
+use fast_bench::calibration::{calibration_kernel, seconds};
 use fast_core::{CacheStats, Evaluator, Objective, StagedCacheStats};
 use fast_fusion::FusionOptions;
 use fast_models::{EfficientNet, Workload};
 use fast_sim::SimOptions;
-use std::collections::HashMap;
 
 /// The swept fusion configurations: residency windows, strict Figure-8
 /// adjacency, and the disabled ablation — all heuristic-only, so the
@@ -47,34 +47,10 @@ const EXPECTED_TRAFFIC: [CacheStats; 3] = [
     CacheStats { hits: 0, misses: 80 },
 ];
 
-/// Iterations of the calibration kernel: a few milliseconds, the order of
-/// one staged sweep.
-const CALIBRATION_ITERS: u64 = 200_000;
-
 /// Interleaved timing rounds: each times the calibration kernel, one
 /// monolithic sweep and one cold staged sweep back to back, so all three
 /// see the same host conditions; the report keeps the fastest of each.
 const TIMING_ROUNDS: usize = 9;
-
-/// A fixed calibration kernel that is not program code, with the
-/// instruction mix of cache lookups and per-design assembly: hash-map
-/// updates, short-lived allocations and a dependent multiply–rotate chain.
-/// Its time tracks the runner's single-thread speed, so dividing the
-/// staged time by it gives a figure comparable across runners.
-fn calibration_kernel() -> u64 {
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    let mut acc = 0x243f_6a88_85a3_08d3_u64;
-    let mut folded = 0u64;
-    for i in 0..CALIBRATION_ITERS {
-        acc = (acc ^ i).wrapping_mul(0xff51_afd7_ed55_8ccd).rotate_left(23);
-        *counts.entry(acc >> 51).or_insert(0) += 1;
-        if i % 32 == 0 {
-            let row: Vec<f64> = (0..48).map(|k| (acc >> k) as f64).collect();
-            folded ^= row.iter().sum::<f64>().to_bits();
-        }
-    }
-    counts.values().fold(acc ^ folded, |a, &b| a.rotate_left(1) ^ b)
-}
 
 fn evaluator() -> Evaluator {
     Evaluator::new(
@@ -106,14 +82,6 @@ fn run_sweep(e: &Evaluator) -> f64 {
                 .objective_value
         })
         .sum()
-}
-
-/// Wall seconds of one call of `f`, its result kept opaque to the
-/// optimizer.
-fn seconds<T>(f: impl FnOnce() -> T) -> f64 {
-    let start = std::time::Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64()
 }
 
 fn rate(hits: u64, misses: u64) -> f64 {

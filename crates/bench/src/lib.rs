@@ -43,6 +43,7 @@
 //! assert_eq!(rendered.lines().count(), 3); // header, rule, one row
 //! ```
 
+pub mod calibration;
 pub mod cli;
 pub mod figures;
 pub mod headline;

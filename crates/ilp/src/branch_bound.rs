@@ -18,7 +18,8 @@
 //!   objective coefficients while unobserved (lowest index on ties);
 //! * child LPs crash-start from the parent's optimal basis
 //!   ([`crate::simplex::solve_lp_warm`]), so each child typically needs a
-//!   handful of pivots instead of a full two-phase solve.
+//!   handful of pivots instead of a full two-phase solve; every node LP is
+//!   built into one reused simplex workspace.
 //!
 //! Termination is governed by the deterministic `max_nodes` budget; the
 //! wall-clock limit is an opt-in escape hatch (`time_limit: Some(..)`) and
@@ -31,7 +32,7 @@
 
 use crate::presolve::presolve;
 use crate::problem::Problem;
-use crate::simplex::{solve_lp, solve_lp_warm, Bounds, LpStatus};
+use crate::simplex::{solve_lp, Bounds, LpStatus, Workspace};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -197,6 +198,7 @@ pub fn solve_milp(problem: &Problem, options: &SolveOptions) -> MilpSolution {
         };
     }
     let tightened = &pre.problem;
+    let mut lp_workspace = Workspace::new(tightened);
 
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
     heap.push(Node {
@@ -235,7 +237,7 @@ pub fn solve_milp(problem: &Problem, options: &SolveOptions) -> MilpSolution {
         }
         nodes_explored += 1;
 
-        let lp = solve_lp_warm(tightened, &node.bounds, node.basis.as_deref().map(Vec::as_slice));
+        let lp = lp_workspace.solve(&node.bounds, node.basis.as_deref().map(Vec::as_slice));
         lp_pivots += lp.pivots;
         match lp.status {
             LpStatus::Infeasible => continue,

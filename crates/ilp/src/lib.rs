@@ -6,8 +6,10 @@
 //! substrate from scratch:
 //!
 //! * a [`Problem`] builder for sparse mixed 0/1 linear programs,
-//! * a dense two-phase primal [`simplex`] solver for LP relaxations, with
-//!   crash warm-starting from a related basis and an anti-cycling guard,
+//! * a two-phase primal [`simplex`] solver for LP relaxations on a
+//!   sparse-indexed dense tableau (each pivot touches only nonzeros, with
+//!   the pivots and answers of a plain dense tableau), with crash
+//!   warm-starting from a related basis and an anti-cycling guard,
 //! * a `presolve` pass (binary fixing, coefficient tightening) that
 //!   shrinks the search without changing any answer,
 //! * an LP-based [`branch_bound`] driver — best-bound node selection with

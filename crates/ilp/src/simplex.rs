@@ -1,19 +1,39 @@
-//! Dense two-phase primal simplex for the LP relaxations.
+//! Two-phase primal simplex for the LP relaxations, on a sparse-indexed
+//! dense tableau.
 //!
 //! Engineering notes:
 //! * Variables are shifted to nonnegative form; finite upper bounds become
 //!   explicit slack rows (simple and adequate for the fusion-ILP sizes this
 //!   solver targets).
+//! * The tableau keeps its values row-major and dense, and beside them an
+//!   index that lists every nonzero cell in its row's and its column's
+//!   list. A pivot scales and updates only the pivot row's listed columns,
+//!   and only in the rows the pivot column lists, adding fill-in to both
+//!   lists as it arrives; a cell that cancels to zero leaves its lists
+//!   lazily, when its row next pivots or a ratio test next reads its
+//!   column. The ratio test and the crash scan a column's rows in ascending
+//!   order, and pricing scans only the columns whose reduced cost is
+//!   negative. A fusion-ILP pivot row holds about 9 nonzeros of over 1,000
+//!   columns, so each step costs O(nonzeros) instead of O(rows × columns).
+//! * The operations the index skips are exactly those with a ±0 operand.
+//!   They could change only the sign of a zero, which no comparison sees
+//!   and the shift added on extraction erases (for any lower bound other
+//!   than `-0.0`), so every pivot choice and every returned bit equal those
+//!   of a plain dense tableau.
 //! * Dantzig pricing with an anti-cycling guard: after
 //!   `DEGEN_PIVOT_LIMIT` consecutive degenerate pivots the pricing falls
 //!   back to Bland's rule (which provably cannot cycle) until a pivot makes
-//!   objective progress again.
+//!   objective progress again. Both rules take the lowest column on ties.
 //! * Phase 1 minimizes artificial infeasibility; redundant rows whose
 //!   artificial cannot be pivoted out are left basic at zero.
 //! * [`solve_lp_warm`] accepts a *crash basis* — the structural variables
 //!   basic at a related solve's optimum. They are pivoted in before phase 1
 //!   using min-ratio rows (feasibility-preserving), which typically leaves
 //!   both phases only a few pivots of work on branch-and-bound child nodes.
+//! * A `Workspace` serves every node LP of one branch-and-bound solve: it
+//!   accumulates the constraint coefficients once per problem and builds
+//!   each node's tableau into the previous node's buffers, resetting only
+//!   the cells its index lists.
 
 use crate::problem::{Problem, Sense, VarKind};
 
@@ -98,96 +118,168 @@ pub fn solve_lp(problem: &Problem, bounds: &Bounds) -> LpSolution {
 /// simplex phases. The returned solution is unaffected by the hint.
 #[must_use]
 pub fn solve_lp_warm(problem: &Problem, bounds: &Bounds, crash: Option<&[usize]>) -> LpSolution {
-    Tableau::build(problem, bounds).map_or(
-        LpSolution {
-            status: LpStatus::Infeasible,
-            objective: f64::INFINITY,
-            values: vec![0.0; problem.num_vars()],
-            pivots: 0,
-            basic_structurals: Vec::new(),
-        },
-        |mut t| {
-            if let Some(hint) = crash {
-                t.crash_basis(hint, bounds);
-            }
-            t.solve(problem)
-        },
-    )
+    Workspace::new(problem).solve(bounds, crash)
 }
 
+/// Buffers for repeated LP solves of one problem under different bounds
+/// (the node LPs of a branch-and-bound search). Each solve returns exactly
+/// what a fresh [`solve_lp_warm`] returns.
+pub(crate) struct Workspace<'p> {
+    problem: &'p Problem,
+    /// Per constraint: its summed coefficients as `(variable, value)`, each
+    /// variable once, zero sums dropped.
+    coefs: Vec<Vec<(usize, f64)>>,
+    tableau: Tableau,
+}
+
+impl<'p> Workspace<'p> {
+    pub(crate) fn new(problem: &'p Problem) -> Self {
+        let mut dense = vec![0.0; problem.num_vars()];
+        let coefs = problem
+            .constraints()
+            .iter()
+            .map(|c| {
+                for &(v, a) in &c.terms {
+                    dense[v.index()] += a;
+                }
+                let mut row: Vec<(usize, f64)> = Vec::new();
+                for &(v, _) in &c.terms {
+                    let j = v.index();
+                    if dense[j] != 0.0 {
+                        row.push((j, dense[j]));
+                    }
+                    dense[j] = 0.0;
+                }
+                row
+            })
+            .collect();
+        Workspace { problem, coefs, tableau: Tableau::default() }
+    }
+
+    /// Solves the LP relaxation under `bounds`, crash-starting from `crash`
+    /// as [`solve_lp_warm`] does.
+    pub(crate) fn solve(&mut self, bounds: &Bounds, crash: Option<&[usize]>) -> LpSolution {
+        let t = &mut self.tableau;
+        if !t.load(self.problem, &self.coefs, bounds) {
+            return LpSolution {
+                status: LpStatus::Infeasible,
+                objective: f64::INFINITY,
+                values: vec![0.0; self.problem.num_vars()],
+                pivots: 0,
+                basic_structurals: Vec::new(),
+            };
+        }
+        if let Some(hint) = crash {
+            t.crash_basis(hint, bounds);
+        }
+        t.solve(self.problem)
+    }
+}
+
+/// `Tableau::listed` bit: the cell is in its row's list.
+const IN_ROW: u8 = 1;
+/// `Tableau::listed` bit: the cell is in its column's list.
+const IN_COL: u8 = 2;
+
+/// The simplex tableau. Cells outside the index are zero: every nonzero
+/// cell is listed, once, in its row's and in its column's list. A list may
+/// also hold cells that became zero after they were listed; a row drops
+/// them when it is the pivot row and a column when a ratio test reads it
+/// (dropping them on the spot would cost a search of a long list). The
+/// right-hand sides live apart and are updated for every row a pivot
+/// touches.
+#[derive(Default)]
 struct Tableau {
-    /// `rows × (cols + 1)`; last column is the RHS.
+    /// Row-major constraint values, `rows × cols` (the buffer may be longer).
     a: Vec<f64>,
+    /// `IN_ROW | IN_COL` bits of each cell, laid out as `a`.
+    listed: Vec<u8>,
+    /// Right-hand side per row.
+    rhs: Vec<f64>,
     rows: usize,
     cols: usize,
+    /// Listed columns of each row, unordered.
+    row_nz: Vec<Vec<usize>>,
+    /// Listed rows of each column, unordered until a ratio test sorts them.
+    col_nz: Vec<Vec<usize>>,
     /// Basic variable (column index) per row.
     basis: Vec<usize>,
+    /// Whether each column is basic.
+    is_basic: Vec<bool>,
     /// Column index where artificial columns start (none may enter in phase 2).
     artificial_start: usize,
     /// Number of original (shifted) structural variables.
     n_struct: usize,
     /// Per-variable shift: x_original = x_shifted + shift.
     shifts: Vec<f64>,
-    /// Objective row (length cols + 1; last entry is -objective value).
+    /// Objective row over the columns.
     cost: Vec<f64>,
+    /// Objective row's right-hand side (minus the objective value).
+    cost_rhs: f64,
+    /// Columns whose reduced cost may be below `-EPS`, each once: the only
+    /// columns pricing can choose. Pricing drops the others.
+    candidates: Vec<usize>,
+    /// Whether each column is in `candidates`.
+    is_candidate: Vec<bool>,
     /// Pivots performed so far (crash + phase 1 + phase 2).
     pivots: u64,
 }
 
 impl Tableau {
     fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * (self.cols + 1) + c]
+        self.a[r * self.cols + c]
     }
 
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.a[r * (self.cols + 1) + c] = v;
-    }
-
-    /// Builds the phase-1 tableau. Returns `None` when a variable's bounds
-    /// are contradictory (lo > hi), which means trivially infeasible.
-    fn build(problem: &Problem, bounds: &Bounds) -> Option<Tableau> {
-        let n = problem.num_vars();
-        for i in 0..n {
-            if bounds.lo[i] > bounds.hi[i] + EPS {
-                return None;
+    /// Zeroes the cells the index lists and empties the index.
+    fn clear(&mut self) {
+        let w = self.cols;
+        for (r, cols) in self.row_nz.iter_mut().enumerate().take(self.rows) {
+            for &c in cols.iter() {
+                self.a[r * w + c] = 0.0;
+                self.listed[r * w + c] = 0;
             }
+            cols.clear();
         }
-        let shifts: Vec<f64> = bounds.lo.clone();
+        for (c, rows) in self.col_nz.iter_mut().enumerate().take(w) {
+            for &r in rows.iter() {
+                self.listed[r * w + c] = 0;
+            }
+            rows.clear();
+        }
+    }
 
-        // Row descriptors: (dense coefficients over structural vars, sense, rhs).
-        let mut rows: Vec<(Vec<f64>, Sense, f64)> = Vec::new();
+    /// Builds the phase-1 tableau of `problem` under `bounds` into this
+    /// tableau's buffers. Returns `false` when a variable's bounds are
+    /// contradictory (lo > hi), which means trivially infeasible.
+    fn load(&mut self, problem: &Problem, coefs: &[Vec<(usize, f64)>], bounds: &Bounds) -> bool {
+        let n = problem.num_vars();
+        if (0..n).any(|i| bounds.lo[i] > bounds.hi[i] + EPS) {
+            return false;
+        }
+        self.clear();
+        self.shifts.clear();
+        self.shifts.extend_from_slice(&bounds.lo);
+
+        // Right-hand sides after shifting: the constraint rows, then one
+        // upper-bound row per finite range (x' <= hi - lo; a zero range
+        // pins the variable at its shift).
+        self.rhs.clear();
         for c in problem.constraints() {
-            let mut coef = vec![0.0; n];
             let mut rhs = c.rhs;
             for &(v, a) in &c.terms {
-                coef[v.index()] += a;
-                rhs -= a * shifts[v.index()];
+                rhs -= a * self.shifts[v.index()];
             }
-            rows.push((coef, c.sense, rhs));
+            self.rhs.push(rhs);
         }
-        // Upper-bound rows for finite ranges (after shifting: x' <= hi - lo).
-        // A zero range pins the variable at its shift (rhs 0 row).
-        for i in 0..n {
-            let range = bounds.hi[i] - bounds.lo[i];
-            if range.is_finite() {
-                let mut coef = vec![0.0; n];
-                coef[i] = 1.0;
-                rows.push((coef, Sense::Le, range.max(0.0)));
-            }
+        let ranged = || (0..n).filter(|&i| (bounds.hi[i] - bounds.lo[i]).is_finite());
+        for i in ranged() {
+            self.rhs.push((bounds.hi[i] - bounds.lo[i]).max(0.0));
         }
-
-        let m = rows.len();
-        // Count slacks and artificials.
-        let mut n_slack = 0;
-        let mut n_art = 0;
-        for (_, sense, rhs) in &rows {
-            let flipped = *rhs < 0.0;
-            let eff = match (sense, flipped) {
-                (Sense::Le, false) | (Sense::Ge, true) => Sense::Le,
-                (Sense::Le, true) | (Sense::Ge, false) => Sense::Ge,
-                (Sense::Eq, _) => Sense::Eq,
-            };
-            match eff {
+        let m = self.rhs.len();
+        let sense_of = |r: usize| problem.constraints().get(r).map_or(Sense::Le, |c| c.sense);
+        let (mut n_slack, mut n_art) = (0, 0);
+        for r in 0..m {
+            match effective(sense_of(r), self.rhs[r]) {
                 Sense::Le => n_slack += 1,
                 Sense::Ge => {
                     n_slack += 1;
@@ -196,107 +288,215 @@ impl Tableau {
                 Sense::Eq => n_art += 1,
             }
         }
-        let cols = n + n_slack + n_art;
-        let mut t = Tableau {
-            a: vec![0.0; m * (cols + 1)],
-            rows: m,
-            cols,
-            basis: vec![0; m],
-            artificial_start: n + n_slack,
-            n_struct: n,
-            shifts,
-            cost: vec![0.0; cols + 1],
-            pivots: 0,
-        };
 
-        let mut slack_idx = n;
-        let mut art_idx = n + n_slack;
-        for (r, (coef, sense, rhs)) in rows.into_iter().enumerate() {
-            let flip = rhs < 0.0;
-            let sgn = if flip { -1.0 } else { 1.0 };
-            for (j, &c) in coef.iter().enumerate() {
-                if c != 0.0 {
-                    t.set(r, j, sgn * c);
-                }
-            }
-            t.set(r, cols, sgn * rhs);
-            let eff = match (sense, flip) {
-                (Sense::Le, false) | (Sense::Ge, true) => Sense::Le,
-                (Sense::Le, true) | (Sense::Ge, false) => Sense::Ge,
-                (Sense::Eq, _) => Sense::Eq,
-            };
-            match eff {
-                Sense::Le => {
-                    t.set(r, slack_idx, 1.0);
-                    t.basis[r] = slack_idx;
-                    slack_idx += 1;
-                }
-                Sense::Ge => {
-                    t.set(r, slack_idx, -1.0);
-                    slack_idx += 1;
-                    t.set(r, art_idx, 1.0);
-                    t.basis[r] = art_idx;
-                    art_idx += 1;
-                }
-                Sense::Eq => {
-                    t.set(r, art_idx, 1.0);
-                    t.basis[r] = art_idx;
-                    art_idx += 1;
-                }
-            }
+        let cols = n + n_slack + n_art;
+        self.rows = m;
+        self.cols = cols;
+        self.artificial_start = n + n_slack;
+        self.n_struct = n;
+        self.pivots = 0;
+        if self.a.len() < m * cols {
+            self.a.resize(m * cols, 0.0);
+            self.listed.resize(m * cols, 0);
         }
-        Some(t)
+        if self.row_nz.len() < m {
+            self.row_nz.resize_with(m, Vec::new);
+        }
+        if self.col_nz.len() < cols {
+            self.col_nz.resize_with(cols, Vec::new);
+        }
+        self.basis.clear();
+        self.basis.resize(m, 0);
+        self.is_basic.clear();
+        self.is_basic.resize(cols, false);
+        self.cost.clear();
+        self.cost.resize(cols, 0.0);
+        self.cost_rhs = 0.0;
+        self.candidates.clear();
+        self.is_candidate.clear();
+        self.is_candidate.resize(cols, false);
+
+        let mut next = (n, n + n_slack);
+        for (r, coef) in coefs.iter().enumerate() {
+            self.place_row(r, sense_of(r), coef.iter().copied(), &mut next);
+        }
+        for (k, i) in ranged().enumerate() {
+            self.place_row(coefs.len() + k, Sense::Le, [(i, 1.0)], &mut next);
+        }
+        #[cfg(test)]
+        self.check_index();
+        true
     }
 
-    /// Rebuilds the cost row for the given per-column objective, reduced
-    /// against the current basis.
-    fn load_costs(&mut self, col_cost: &[f64]) {
-        self.cost[..self.cols].copy_from_slice(col_cost);
-        self.cost[self.cols] = 0.0;
+    /// Writes row `r`: its coefficients, negated when the right-hand side
+    /// is negative, then its slack and artificial cells. `next` holds the
+    /// next free slack and artificial columns.
+    fn place_row(
+        &mut self,
+        r: usize,
+        sense: Sense,
+        coef: impl IntoIterator<Item = (usize, f64)>,
+        next: &mut (usize, usize),
+    ) {
+        let eff = effective(sense, self.rhs[r]);
+        let sgn = if self.rhs[r] < 0.0 { -1.0 } else { 1.0 };
+        for (j, c) in coef {
+            self.set(r, j, sgn * c);
+        }
+        self.rhs[r] *= sgn;
+        let (slack, art) = next;
+        match eff {
+            Sense::Le => {
+                self.set(r, *slack, 1.0);
+                self.basis[r] = *slack;
+                *slack += 1;
+            }
+            Sense::Ge => {
+                self.set(r, *slack, -1.0);
+                *slack += 1;
+                self.set(r, *art, 1.0);
+                self.basis[r] = *art;
+                *art += 1;
+            }
+            Sense::Eq => {
+                self.set(r, *art, 1.0);
+                self.basis[r] = *art;
+                *art += 1;
+            }
+        }
+        self.is_basic[self.basis[r]] = true;
+    }
+
+    /// Writes a nonzero into an empty cell.
+    fn set(&mut self, r: usize, c: usize, v: f64) {
+        self.a[r * self.cols + c] = v;
+        self.listed[r * self.cols + c] = IN_ROW | IN_COL;
+        self.row_nz[r].push(c);
+        self.col_nz[c].push(r);
+    }
+
+    /// Rebuilds the cost row for the per-column objective `col_cost`,
+    /// reduced against the current basis.
+    fn load_costs(&mut self, col_cost: impl Fn(usize) -> f64) {
+        for c in 0..self.cols {
+            self.cost[c] = col_cost(c);
+        }
+        self.cost_rhs = 0.0;
         for r in 0..self.rows {
-            let cb = col_cost[self.basis[r]];
+            let cb = col_cost(self.basis[r]);
             if cb != 0.0 {
-                for c in 0..=self.cols {
-                    let v = self.at(r, c);
+                for &c in &self.row_nz[r] {
+                    let v = self.a[r * self.cols + c];
                     if v != 0.0 {
                         self.cost[c] -= cb * v;
                     }
                 }
+                let v = self.rhs[r];
+                if v != 0.0 {
+                    self.cost_rhs -= cb * v;
+                }
+            }
+        }
+        self.candidates.clear();
+        for c in 0..self.cols {
+            self.is_candidate[c] = self.cost[c] < -EPS;
+            if self.is_candidate[c] {
+                self.candidates.push(c);
             }
         }
     }
 
     fn pivot(&mut self, pr: usize, pc: usize) {
-        let w = self.cols + 1;
+        let w = self.cols;
         let piv = self.at(pr, pc);
         debug_assert!(piv.abs() > EPS);
         let inv = 1.0 / piv;
-        for c in 0..w {
-            let v = self.a[pr * w + c] * inv;
-            self.a[pr * w + c] = v;
-        }
-        for r in 0..self.rows {
-            if r == pr {
-                continue;
+        // Drop the cells that became zero since this row last pivoted, then
+        // scale the rest.
+        let mut prow = std::mem::take(&mut self.row_nz[pr]);
+        let (a, listed) = (&self.a, &mut self.listed);
+        prow.retain(|&c| {
+            let keep = a[pr * w + c] != 0.0;
+            if !keep {
+                listed[pr * w + c] &= !IN_ROW;
             }
-            let factor = self.at(r, pc);
-            if factor.abs() > 1e-13 {
-                for c in 0..w {
-                    let v = self.a[r * w + c] - factor * self.a[pr * w + c];
-                    self.a[r * w + c] = v;
+            keep
+        });
+        for &c in &prow {
+            self.a[pr * w + c] *= inv;
+        }
+        self.rhs[pr] *= inv;
+
+        // Eliminate the pivot column from every other row it has a nonzero
+        // in; rows with a negligible factor keep theirs untouched.
+        let mut pcol = std::mem::take(&mut self.col_nz[pc]);
+        pcol.retain(|&r| {
+            let factor = self.a[r * w + pc];
+            if r == pr || (factor != 0.0 && factor.abs() <= 1e-13) {
+                return true;
+            }
+            self.listed[r * w + pc] &= !IN_COL;
+            if factor == 0.0 {
+                return false;
+            }
+            for &c in &prow {
+                if c == pc {
+                    continue;
                 }
-                self.a[r * w + pc] = 0.0;
+                let old = self.a[r * w + c];
+                let new = old - factor * self.a[pr * w + c];
+                self.a[r * w + c] = new;
+                if old == 0.0 && new != 0.0 {
+                    let bits = &mut self.listed[r * w + c];
+                    if *bits & IN_ROW == 0 {
+                        self.row_nz[r].push(c);
+                    }
+                    if *bits & IN_COL == 0 {
+                        self.col_nz[c].push(r);
+                    }
+                    *bits = IN_ROW | IN_COL;
+                }
             }
-        }
+            self.rhs[r] -= factor * self.rhs[pr];
+            self.a[r * w + pc] = 0.0;
+            false
+        });
+        self.col_nz[pc] = pcol;
+
         let factor = self.cost[pc];
         if factor.abs() > 1e-13 {
-            for c in 0..w {
+            for &c in &prow {
                 self.cost[c] -= factor * self.a[pr * w + c];
+                if !self.is_candidate[c] && self.cost[c] < -EPS {
+                    self.is_candidate[c] = true;
+                    self.candidates.push(c);
+                }
             }
+            self.cost_rhs -= factor * self.rhs[pr];
             self.cost[pc] = 0.0;
         }
+        self.row_nz[pr] = prow;
+        self.is_basic[self.basis[pr]] = false;
+        self.is_basic[pc] = true;
         self.basis[pr] = pc;
         self.pivots += 1;
+        #[cfg(test)]
+        self.check_index();
+    }
+
+    /// Drops column `c`'s zero cells from its list and sorts the rest
+    /// ascending, the order the ratio tests scan in.
+    fn tidy_column(&mut self, c: usize) {
+        let w = self.cols;
+        let (a, listed) = (&self.a, &mut self.listed);
+        self.col_nz[c].retain(|&r| {
+            let keep = a[r * w + c] != 0.0;
+            if !keep {
+                listed[r * w + c] &= !IN_COL;
+            }
+            keep
+        });
+        self.col_nz[c].sort_unstable();
     }
 
     /// Crash-pivots the hinted structural columns into the basis before any
@@ -308,15 +508,16 @@ impl Tableau {
     /// risky, or when the variable is fixed in this node's bounds.
     fn crash_basis(&mut self, hint: &[usize], bounds: &Bounds) {
         for &j in hint {
-            if j >= self.n_struct || bounds.hi[j] - bounds.lo[j] <= EPS || self.basis.contains(&j) {
+            if j >= self.n_struct || bounds.hi[j] - bounds.lo[j] <= EPS || self.is_basic[j] {
                 continue;
             }
+            self.tidy_column(j);
             let mut pr: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
-            for r in 0..self.rows {
+            for &r in &self.col_nz[j] {
                 let a = self.at(r, j);
                 if a > EPS {
-                    let ratio = self.at(r, self.cols) / a;
+                    let ratio = self.rhs[r] / a;
                     let better = ratio < best_ratio - EPS
                         || (ratio < best_ratio + EPS
                             && pr.is_some_and(|p| {
@@ -338,6 +539,58 @@ impl Tableau {
         }
     }
 
+    /// The entering column: the most negative reduced cost below `limit`
+    /// (Dantzig), or with `bland` the lowest column with a negative one;
+    /// the lowest column wins ties. Drops columns that stopped being
+    /// candidates.
+    fn price(&mut self, limit: usize, bland: bool) -> Option<usize> {
+        let mut pc: Option<usize> = None;
+        let mut best = -EPS;
+        let (cost, is_candidate) = (&self.cost, &mut self.is_candidate);
+        self.candidates.retain(|&c| {
+            let rc = cost[c];
+            let entering = rc < -EPS;
+            if !entering {
+                is_candidate[c] = false;
+                return false;
+            }
+            if c < limit {
+                let lower = pc.is_none_or(|p| c < p);
+                if (bland && lower) || (!bland && (rc < best || (rc == best && lower))) {
+                    best = rc;
+                    pc = Some(c);
+                }
+            }
+            true
+        });
+        pc
+    }
+
+    /// The leaving row for entering column `pc` and its ratio, or `None`
+    /// when the column has no positive element (unbounded). Rows are
+    /// scanned in ascending order, as a dense tableau scans them: with the
+    /// `EPS` tolerance a chain of near-equal ratios can end on a different
+    /// row in another order. Near ties go to the lower basic variable.
+    fn ratio_test(&mut self, pc: usize) -> Option<(usize, f64)> {
+        self.tidy_column(pc);
+        let mut pr: Option<usize> = None;
+        let mut best_ratio = f64::INFINITY;
+        for &r in &self.col_nz[pc] {
+            let a = self.at(r, pc);
+            if a > EPS {
+                let ratio = self.rhs[r] / a;
+                if ratio < best_ratio - EPS
+                    || (ratio < best_ratio + EPS
+                        && pr.is_some_and(|p| self.basis[r] < self.basis[p]))
+                {
+                    best_ratio = ratio;
+                    pr = Some(r);
+                }
+            }
+        }
+        pr.map(|r| (r, best_ratio))
+    }
+
     /// Runs simplex iterations until optimality/unboundedness/limit.
     /// `allow_artificial` permits artificial columns to enter (phase 1 only).
     fn iterate(&mut self, allow_artificial: bool, max_iters: usize) -> LpStatus {
@@ -352,43 +605,12 @@ impl Tableau {
                 return LpStatus::IterLimit;
             }
             iters += 1;
-            // Entering column.
-            let use_bland = degenerate_run >= DEGEN_PIVOT_LIMIT;
-            let mut pc: Option<usize> = None;
-            let mut best = -EPS;
             let limit = if allow_artificial { self.cols } else { self.artificial_start };
-            for c in 0..limit {
-                let rc = self.cost[c];
-                if rc < -EPS {
-                    if use_bland {
-                        pc = Some(c);
-                        break;
-                    }
-                    if rc < best {
-                        best = rc;
-                        pc = Some(c);
-                    }
-                }
-            }
-            let Some(pc) = pc else { return LpStatus::Optimal };
-            // Ratio test.
-            let mut pr: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for r in 0..self.rows {
-                let a = self.at(r, pc);
-                if a > EPS {
-                    let ratio = self.at(r, self.cols) / a;
-                    if ratio < best_ratio - EPS
-                        || (ratio < best_ratio + EPS
-                            && pr.is_some_and(|p| self.basis[r] < self.basis[p]))
-                    {
-                        best_ratio = ratio;
-                        pr = Some(r);
-                    }
-                }
-            }
-            let Some(pr) = pr else { return LpStatus::Unbounded };
-            if best_ratio <= EPS {
+            let Some(pc) = self.price(limit, degenerate_run >= DEGEN_PIVOT_LIMIT) else {
+                return LpStatus::Optimal;
+            };
+            let Some((pr, ratio)) = self.ratio_test(pc) else { return LpStatus::Unbounded };
+            if ratio <= EPS {
                 degenerate_run += 1;
             } else {
                 degenerate_run = 0;
@@ -402,13 +624,10 @@ impl Tableau {
 
         // Phase 1: drive artificials to zero.
         if self.artificial_start < self.cols {
-            let mut phase1 = vec![0.0; self.cols];
-            for cost in &mut phase1[self.artificial_start..] {
-                *cost = 1.0;
-            }
-            self.load_costs(&phase1);
+            let start = self.artificial_start;
+            self.load_costs(|c| if c >= start { 1.0 } else { 0.0 });
             let st = self.iterate(true, max_iters);
-            let infeas = -self.cost[self.cols];
+            let infeas = -self.cost_rhs;
             if st == LpStatus::Unbounded || infeas > 1e-6 {
                 return LpSolution {
                     status: LpStatus::Infeasible,
@@ -418,10 +637,15 @@ impl Tableau {
                     basic_structurals: Vec::new(),
                 };
             }
-            // Pivot out any artificial still basic (at zero).
+            // Pivot out any artificial still basic (at zero), entering the
+            // lowest non-artificial column with a usable element.
             for r in 0..self.rows {
-                if self.basis[r] >= self.artificial_start {
-                    let pc = (0..self.artificial_start).find(|&c| self.at(r, c).abs() > 1e-7);
+                if self.basis[r] >= start {
+                    let pc = self.row_nz[r]
+                        .iter()
+                        .copied()
+                        .filter(|&c| c < start && self.at(r, c).abs() > 1e-7)
+                        .min();
                     if let Some(pc) = pc {
                         self.pivot(r, pc);
                     }
@@ -430,11 +654,8 @@ impl Tableau {
         }
 
         // Phase 2: original objective over structural columns.
-        let mut phase2 = vec![0.0; self.cols];
-        for (i, v) in problem.variables().iter().enumerate() {
-            phase2[i] = v.objective;
-        }
-        self.load_costs(&phase2);
+        let vars = problem.variables();
+        self.load_costs(|c| vars.get(c).map_or(0.0, |v| v.objective));
         let status = self.iterate(false, max_iters);
         if status == LpStatus::Unbounded {
             return LpSolution {
@@ -452,7 +673,7 @@ impl Tableau {
         for r in 0..self.rows {
             let b = self.basis[r];
             if b < self.n_struct {
-                x[b] = self.at(r, self.cols);
+                x[b] = self.rhs[r];
                 basic_structurals.push(b);
             }
         }
@@ -472,6 +693,44 @@ impl Tableau {
             pivots: self.pivots,
             basic_structurals,
         }
+    }
+
+    /// Checks that every nonzero cell is in both indexes, that the lists
+    /// and the `listed` bits agree (each cell listed at most once), that
+    /// every negative reduced cost is a candidate and that the basic flags
+    /// match the basis.
+    #[cfg(test)]
+    fn check_index(&self) {
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                let bits = self.listed[r * self.cols + c];
+                let in_row = self.row_nz[r].iter().filter(|&&k| k == c).count();
+                let in_col = self.col_nz[c].iter().filter(|&&k| k == r).count();
+                assert_eq!(in_row, usize::from(bits & IN_ROW != 0), "row list at ({r}, {c})");
+                assert_eq!(in_col, usize::from(bits & IN_COL != 0), "column list at ({r}, {c})");
+                if self.at(r, c) != 0.0 {
+                    assert_eq!(bits, IN_ROW | IN_COL, "unlisted nonzero at ({r}, {c})");
+                }
+            }
+        }
+        for c in 0..self.cols {
+            let count = self.candidates.iter().filter(|&&k| k == c).count();
+            assert_eq!(count, usize::from(self.is_candidate[c]), "candidate list at {c}");
+            if self.cost[c] < -EPS {
+                assert!(self.is_candidate[c], "unlisted candidate {c}");
+            }
+            let basic = self.basis[..self.rows].contains(&c);
+            assert_eq!(basic, self.is_basic[c], "basic flag of {c}");
+        }
+    }
+}
+
+/// Row sense after a negative right-hand side flips the row's sign.
+fn effective(sense: Sense, rhs: f64) -> Sense {
+    match (sense, rhs < 0.0) {
+        (Sense::Le, false) | (Sense::Ge, true) => Sense::Le,
+        (Sense::Le, true) | (Sense::Ge, false) => Sense::Ge,
+        (Sense::Eq, _) => Sense::Eq,
     }
 }
 
@@ -667,5 +926,81 @@ mod tests {
         let s = solve(&p);
         assert_eq!(s.status, LpStatus::Optimal);
         assert!(s.objective < -9.0);
+    }
+
+    #[test]
+    fn ratio_test_scans_rows_ascending_whatever_the_list_order() {
+        // Ratios 1 + 1.5e-9, 1 + 0.8e-9 and 1 chain within EPS: scanned in
+        // ascending row order the test ends on row 2, in descending order
+        // on row 0. Fill-in appends rows to a column's list in any order,
+        // so the list is reversed before the test runs.
+        let mut p = Problem::new("chain");
+        let x = p.add_continuous("x", 0.0, f64::INFINITY, -1.0);
+        for (i, above) in [1.5e-9, 0.8e-9, 0.0].into_iter().enumerate() {
+            p.add_constraint(format!("r{i}"), vec![(x, 1.0)], crate::Sense::Le, 1.0 + above);
+        }
+        let mut ws = Workspace::new(&p);
+        let t = &mut ws.tableau;
+        assert!(t.load(&p, &ws.coefs, &Bounds::of(&p)));
+        t.col_nz[0].reverse();
+        assert_eq!(t.ratio_test(0).map(|(r, _)| r), Some(2));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_solves_bit_for_bit() {
+        // Bound fixes that turn right-hand sides negative flip rows between
+        // `Le` and `Ge`, so the slack and artificial counts, and with them
+        // the tableau width, change from node to node; bounding `y` adds a
+        // row. One reused workspace must answer every node exactly as a
+        // fresh one does, crash hints included.
+        let mut p = Problem::new("flips");
+        let x: Vec<_> = (0..4).map(|i| p.add_binary(format!("x{i}"), -1.0 - i as f64)).collect();
+        let y = p.add_continuous("y", 0.0, f64::INFINITY, 0.5);
+        let z = p.add_continuous("z", -1.0, 3.0, -0.25);
+        p.add_constraint("le", vec![(x[0], 1.0), (x[1], 1.0), (y, -1.0)], crate::Sense::Le, 1.5);
+        p.add_constraint("ge", vec![(x[2], 1.0), (x[3], 1.0), (z, 1.0)], crate::Sense::Ge, 0.5);
+        let eq = vec![(x[0], 1.0), (x[2], -1.0), (y, 1.0), (z, -1.0)];
+        p.add_constraint("eq", eq, crate::Sense::Eq, 0.5);
+        p.add_constraint("cap", x.iter().map(|&v| (v, 2.0)).collect(), crate::Sense::Le, 5.0);
+        let root = Bounds::of(&p);
+        let with = |pairs: &[(usize, f64, f64)]| {
+            let mut b = root.clone();
+            for &(i, lo, hi) in pairs {
+                b.lo[i] = lo;
+                b.hi[i] = hi;
+            }
+            b
+        };
+        let nodes = [
+            root.clone(),
+            with(&[(0, 1.0, 1.0), (1, 1.0, 1.0)]),
+            with(&[(2, 1.0, 1.0), (3, 1.0, 1.0)]),
+            with(&[(0, 1.0, 1.0), (1, 1.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 1.0)]),
+            with(&[(0, 0.0, 0.0)]),
+            with(&[(4, 2.0, 2.5)]),
+            with(&[(0, 1.0, 0.0)]),
+            root.clone(),
+        ];
+        let mut ws = Workspace::new(&p);
+        let mut shapes = std::collections::BTreeSet::new();
+        let mut hint: Option<Vec<usize>> = None;
+        for (k, b) in nodes.iter().enumerate() {
+            let reused = ws.solve(b, hint.as_deref());
+            shapes.insert((ws.tableau.rows, ws.tableau.cols));
+            let fresh = Workspace::new(&p).solve(b, hint.as_deref());
+            assert_eq!(reused.status, fresh.status, "node {k}");
+            assert_eq!(reused.pivots, fresh.pivots, "node {k}");
+            assert_eq!(reused.objective.to_bits(), fresh.objective.to_bits(), "node {k}");
+            assert_eq!(bits(&reused.values), bits(&fresh.values), "node {k}");
+            assert_eq!(reused.basic_structurals, fresh.basic_structurals, "node {k}");
+            if reused.status == LpStatus::Optimal {
+                hint = Some(reused.basic_structurals);
+            }
+        }
+        assert!(shapes.len() >= 4, "the nodes must change the tableau's shape: {shapes:?}");
     }
 }

@@ -66,9 +66,6 @@ impl MapFailure {
     }
 }
 
-/// Historical name of [`SimError`], kept for one release of migration.
-pub type ScheduleFailure = SimError;
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let op = &self.op;

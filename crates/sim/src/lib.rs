@@ -62,7 +62,7 @@ const _: () = {
     assert_send_sync::<error::SimError>();
     assert_send_sync::<cache::MapperCache>();
 };
-pub use error::{MapFailure, ScheduleFailure, SimError};
+pub use error::{MapFailure, SimError};
 pub use mapper::{map_matrix_op, Dataflow, Mapping, PaddingMode};
 pub use power::{average_power_w, step_activity, step_energy, EnergyBreakdown, StepActivity};
 pub use softmax::{softmax_three_pass, softmax_two_pass};
