@@ -77,8 +77,7 @@ fn render_event(id: u64, event: &JobEvent) -> String {
             frontier_size,
             best_objective,
             invalid_trials,
-            cache,
-            staged: _,
+            staged,
             fidelity,
         } => {
             let best = best_objective.map_or("-".to_string(), |v| format!("{v:.4}"));
@@ -92,7 +91,7 @@ fn render_event(id: u64, event: &JobEvent) -> String {
             format!(
                 "job {id}: finished {name}: frontier {frontier_size}, best {best}, \
                  invalid {invalid_trials}, cache {}/{} hits/misses{screen}",
-                cache.hits, cache.misses
+                staged.fuse.hits, staged.fuse.misses
             )
         }
         JobEvent::Warning { line } => format!("job {id}: {line}"),
@@ -113,14 +112,12 @@ fn stream_outcome(client: &mut Client, id: u64) -> Result<(), String> {
                 eprintln!("{}", render_event(id, &event));
                 seen += 1;
             }
-            fast_serve::Response::Done { id: done_id, scenarios, cache, staged }
-                if done_id == id =>
-            {
+            fast_serve::Response::Done { id: done_id, scenarios, staged } if done_id == id => {
                 eprintln!(
                     "job {id}: done after {seen} events — job cache traffic: fuse {}/{} \
                      hits/misses, op {}/{}, sim {}/{}",
-                    cache.hits,
-                    cache.misses,
+                    staged.fuse.hits,
+                    staged.fuse.misses,
                     staged.op.hits,
                     staged.op.misses,
                     staged.sim.hits,

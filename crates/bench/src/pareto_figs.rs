@@ -197,7 +197,7 @@ pub fn sweep_budget_frontiers_with(opts: &SweepRunOptions) -> String {
             s.invalid_trials.to_string(),
         ];
         if !opts.frontiers_only {
-            row.push(format!("{:.0}%", 100.0 * s.cache_hit_rate()));
+            row.push(format!("{:.0}%", 100.0 * s.staged.fuse.hit_rate()));
         }
         overview.row(row);
     }
@@ -250,7 +250,6 @@ pub fn sweep_budget_frontiers_with(opts: &SweepRunOptions) -> String {
     }
 
     if !opts.frontiers_only {
-        let total = result.total_cache;
         let staged = result.total_staged;
         let _ = writeln!(
             out,
@@ -264,8 +263,8 @@ pub fn sweep_budget_frontiers_with(opts: &SweepRunOptions) -> String {
              Solver warm starts: {}/{} cross-point hits ({:.0}% hit rate),\n\
              {} nodes on warm solves vs {} cold — the tier reuses incumbents\n\
              across datapath points that share a fusion structure.",
-            total.hits,
-            total.misses,
+            staged.fuse.hits,
+            staged.fuse.misses,
             staged.op.hits,
             staged.op.misses,
             staged.sim.hits,
@@ -296,11 +295,11 @@ mod tests {
         );
         let b_multi = tpu_perf_per_tdp(&proto, &multi).unwrap();
         assert!(b_multi.is_finite() && b_multi > 0.0);
-        let before = proto.cache_stats();
+        let before = proto.staged_cache_stats().fuse;
         // The singleton domain's workload was already simulated above.
         let b_single = tpu_perf_per_tdp(&proto, &single).unwrap();
         assert!(b_single.is_finite() && b_single > 0.0);
-        let after = proto.cache_stats();
+        let after = proto.staged_cache_stats().fuse;
         assert_eq!(after.misses, before.misses, "B0 baseline must be a cache hit");
         assert!(after.hits > before.hits);
     }

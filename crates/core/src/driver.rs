@@ -6,7 +6,7 @@
 //! strategy ([`Execution`]), durability ([`Durability`]) and seeding are
 //! orthogonal axes instead of separate driver functions.
 
-use crate::evaluate::{CacheStats, DesignEval, Evaluator, Objective, StagedCacheStats};
+use crate::evaluate::{DesignEval, Evaluator, Objective, StagedCacheStats};
 use crate::search_space::FastSpace;
 use fast_arch::DatapathConfig;
 use fast_search::{
@@ -201,11 +201,9 @@ pub struct SearchReport {
     pub best: Option<DesignEval>,
     /// log10 of the datapath search-space size explored by the optimizer.
     pub space_log10: f64,
-    /// Fuse-tier traffic attributable to this run (hit/miss delta across
-    /// it, including the final best-point decode) — one lookup per
+    /// Per-stage (op/sim/fuse) hit/miss deltas across this run, including
+    /// the final best-point decode. `staged.fuse` counts one lookup per
     /// successful per-workload evaluation.
-    pub cache: CacheStats,
-    /// Per-stage (op/sim/fuse) hit/miss deltas across this run.
     pub staged: StagedCacheStats,
 }
 
@@ -348,7 +346,6 @@ impl<'e> FastStudy<'e> {
             // or damaged file degrades to a cold cache.
             let _ = self.evaluator.attach_eval_cache(path, true);
         }
-        let before = self.evaluator.cache_stats();
         let staged_before = self.evaluator.staged_cache_stats();
         let parallel = matches!(self.execution, Execution::Parallel { .. });
         let score = |p: &Vec<usize>| match self.evaluator.evaluate_point(&space, p) {
@@ -411,15 +408,10 @@ impl<'e> FastStudy<'e> {
             self.evaluator.save_eval_cache_if_new(path);
             Evaluator::seal_eval_cache(path);
         }
-        let after = self.evaluator.cache_stats();
         Ok(SearchReport {
             study,
             best,
             space_log10: space.space().log10_size(),
-            cache: CacheStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-            },
             staged: self.evaluator.staged_cache_stats().since(&staged_before),
         })
     }
@@ -524,7 +516,7 @@ mod tests {
             .run()
             .expect("valid configuration");
         assert!(out.best.is_some());
-        let stats = e.cache_stats();
+        let stats = e.staged_cache_stats().fuse;
         // Seeded LCS re-proposes incumbent-adjacent points constantly; the
         // cache must absorb at least the re-evaluation of the best point.
         assert!(stats.hits > 0, "expected cache hits, got {stats:?}");
@@ -538,7 +530,7 @@ mod tests {
             distinct.len()
         );
         // The report's cache delta covers exactly this run's traffic.
-        assert_eq!(out.cache.hits + out.cache.misses, stats.hits + stats.misses);
+        assert_eq!(out.staged.fuse.hits + out.staged.fuse.misses, stats.hits + stats.misses);
     }
 
     /// A checkpointed search killed mid-way resumes bit-identically and
@@ -580,10 +572,10 @@ mod tests {
         // The restored trials were never re-simulated: the only cache
         // traffic is the resumed half plus the final best-point decode.
         assert!(
-            resumed.cache.misses <= straight.cache.misses,
+            resumed.staged.fuse.misses <= straight.staged.fuse.misses,
             "resume must not re-simulate the replayed prefix: {:?} vs {:?}",
-            resumed.cache,
-            straight.cache
+            resumed.staged.fuse,
+            straight.staged.fuse
         );
     }
 
@@ -622,9 +614,9 @@ mod tests {
         assert!(best.objective_value > 0.0);
         // Only fully evaluated trials may miss the cache (+1 best decode).
         assert!(
-            screened.cache.misses <= fid.full_evals as u64 + 1,
+            screened.staged.fuse.misses <= fid.full_evals as u64 + 1,
             "screened-out trials must never reach the simulator: {:?}",
-            screened.cache
+            screened.staged.fuse
         );
     }
 

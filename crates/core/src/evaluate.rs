@@ -358,6 +358,27 @@ impl StagedCacheStats {
     }
 }
 
+impl Encode for StagedCacheStats {
+    fn encode(&self, w: &mut Writer) {
+        let StagedCacheStats { op, sim, fuse, solver } = *self;
+        op.encode(w);
+        sim.encode(w);
+        fuse.encode(w);
+        solver.encode(w);
+    }
+}
+
+impl Decode for StagedCacheStats {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, bin::DecodeError> {
+        Ok(StagedCacheStats {
+            op: Decode::decode(r)?,
+            sim: Decode::decode(r)?,
+            fuse: Decode::decode(r)?,
+            solver: Decode::decode(r)?,
+        })
+    }
+}
+
 // Worker threads score trials through a shared `&Evaluator`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -389,7 +410,7 @@ type GraphCache = Mutex<HashMap<(Workload, u64), Arc<fast_ir::Graph>>>;
 /// // fusion solve.
 /// let again = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
 /// assert_eq!(again.objective_value.to_bits(), first.objective_value.to_bits());
-/// assert_eq!(e.cache_stats(), CacheStats { hits: 1, misses: 1 });
+/// assert_eq!(e.staged_cache_stats().fuse, CacheStats { hits: 1, misses: 1 });
 ///
 /// // Sweeping fusion options re-solves Stage C only — the op tier
 /// // (mapper) is untouched, so the sweep never re-maps an op.
@@ -503,17 +524,11 @@ impl Evaluator {
         e
     }
 
-    /// Fuse-tier (Stage C) hit/miss totals since this cache was created —
-    /// one lookup per *successful* per-workload evaluation, so this is the
-    /// evaluation-level reuse signal (schedule failures never reach the
-    /// fuse tier; see [`Evaluator::staged_cache_stats`] for those).
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.fuses.stats()
-    }
-
-    /// Per-stage hit/miss totals: op tier (Stage A), sim tier (Stage B),
-    /// fuse tier (Stage C).
+    /// Per-stage hit/miss totals since these tiers were created: op tier
+    /// (Stage A), sim tier (Stage B), fuse tier (Stage C), plus the exact
+    /// solver's counters. `fuse` counts one lookup per *successful*
+    /// per-workload evaluation, so it is the evaluation-level reuse signal
+    /// (schedule failures stop at the sim tier).
     #[must_use]
     pub fn staged_cache_stats(&self) -> StagedCacheStats {
         StagedCacheStats {
@@ -1336,16 +1351,16 @@ mod tests {
     fn eval_cache_hits_on_repeat_and_across_clones() {
         let e = evaluator(Objective::Qps);
         let _ = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        assert_eq!(e.cache_stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(e.staged_cache_stats().fuse, CacheStats { hits: 0, misses: 1 });
         let _ = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        assert_eq!(e.cache_stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(e.staged_cache_stats().fuse, CacheStats { hits: 1, misses: 1 });
         // Clones share the tiers; fresh_eval_cache severs them.
         let _ = e.clone().evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        assert_eq!(e.cache_stats().hits, 2);
+        assert_eq!(e.staged_cache_stats().fuse.hits, 2);
         let fresh = e.fresh_eval_cache();
         let _ = fresh.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        assert_eq!(fresh.cache_stats(), CacheStats { hits: 0, misses: 1 });
-        assert_eq!(e.cache_stats().hits, 2, "fresh clone must not touch the original");
+        assert_eq!(fresh.staged_cache_stats().fuse, CacheStats { hits: 0, misses: 1 });
+        assert_eq!(e.staged_cache_stats().fuse.hits, 2, "fresh clone must not touch the original");
     }
 
     #[test]
@@ -1370,7 +1385,7 @@ mod tests {
         let sim = SimOptions::default();
         let first = e.evaluate(&cfg, &sim).unwrap();
         let cached = e.evaluate(&cfg, &sim).unwrap();
-        assert!(e.cache_stats().hits >= 1);
+        assert!(e.staged_cache_stats().fuse.hits >= 1);
         assert_eq!(first.objective_value.to_bits(), cached.objective_value.to_bits());
         assert_eq!(
             first.workloads[0].step_seconds.to_bits(),
@@ -1408,7 +1423,11 @@ mod tests {
             mono.evaluate(&unschedulable(), &sim).unwrap_err(),
             "failures must match, op name and cause included"
         );
-        assert_eq!(mono.cache_stats(), CacheStats::default(), "monolithic touches no cache");
+        assert_eq!(
+            mono.staged_cache_stats().fuse,
+            CacheStats::default(),
+            "monolithic touches no cache"
+        );
     }
 
     #[test]
@@ -1434,7 +1453,7 @@ mod tests {
         let after_first = base.staged_cache_stats();
         // Shares the tiers but must not share fuse entries: options differ.
         let unfused = with_fusion.evaluate(&cfg, &sim).unwrap();
-        assert_eq!(base.cache_stats(), CacheStats { hits: 0, misses: 2 });
+        assert_eq!(base.staged_cache_stats().fuse, CacheStats { hits: 0, misses: 2 });
         assert!(
             unfused.workloads[0].step_seconds >= fused.workloads[0].step_seconds,
             "disabling fusion cannot speed the workload up"
@@ -1474,7 +1493,7 @@ mod tests {
         let cfg = presets::fast_large();
         let sim = SimOptions::default();
         let _ = base.evaluate(&cfg, &sim).unwrap();
-        assert_eq!(base.cache_stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(base.staged_cache_stats().fuse, CacheStats { hits: 0, misses: 1 });
         // Different objective and a tighter (still admitting) budget: the
         // whole pipeline is a cache hit.
         let tighter = Budget {
@@ -1487,7 +1506,7 @@ mod tests {
             tighter,
         );
         let _ = rescore.evaluate(&cfg, &sim).unwrap();
-        assert_eq!(base.cache_stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(base.staged_cache_stats().fuse, CacheStats { hits: 1, misses: 1 });
         // A multi-workload domain containing the simulated workload reuses
         // its simulation and only pays for the new workload.
         let multi = base.for_scenario(
@@ -1499,7 +1518,7 @@ mod tests {
             Budget::paper_default(),
         );
         let _ = multi.evaluate(&cfg, &sim).unwrap();
-        assert_eq!(base.cache_stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(base.staged_cache_stats().fuse, CacheStats { hits: 2, misses: 2 });
     }
 
     #[test]
@@ -1512,7 +1531,7 @@ mod tests {
         let cfg = presets::fast_large();
         let a = qps_eval.evaluate(&cfg, &SimOptions::default()).unwrap();
         let b = ppt_eval.evaluate(&cfg, &SimOptions::default()).unwrap();
-        assert_eq!(qps_eval.cache_stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(qps_eval.staged_cache_stats().fuse, CacheStats { hits: 1, misses: 1 });
         assert_eq!(a.geomean_qps.to_bits(), b.geomean_qps.to_bits());
         assert!(b.objective_value < a.objective_value);
     }

@@ -17,7 +17,7 @@
 //! any frontier.
 
 use crate::driver::{OptimizerKind, SeededOptimizer};
-use crate::evaluate::{CacheStats, Evaluator, Objective, StagedCacheStats};
+use crate::evaluate::{Evaluator, Objective, StagedCacheStats};
 use crate::search_space::FastSpace;
 use fast_arch::{Budget, DatapathConfig};
 use fast_models::WorkloadDomain;
@@ -307,11 +307,9 @@ pub struct ScenarioResult {
     pub best_objective: Option<f64>,
     /// Number of safe-search rejections.
     pub invalid_trials: usize,
-    /// Fuse-tier traffic attributable to this scenario's study (hit/miss
-    /// delta across its Pareto study) — one lookup per successful
+    /// Per-stage (op/sim/fuse) hit/miss deltas across this scenario's
+    /// Pareto study. `staged.fuse` counts one lookup per successful
     /// per-workload evaluation.
-    pub cache: CacheStats,
-    /// Per-stage (op/sim/fuse) hit/miss deltas across this scenario.
     pub staged: StagedCacheStats,
     /// Fidelity accounting of the scenario's study — full-simulation count,
     /// screened-out count and surrogate-vs-true rank correlations. `Some`
@@ -332,18 +330,6 @@ impl ScenarioResult {
             fidelity: self.fidelity.clone(),
         }
     }
-
-    /// Fraction of this scenario's per-workload evaluations answered from
-    /// the shared cache (0 when the scenario touched the cache not at all).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache.hits + self.cache.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Outcome of a whole sweep.
@@ -351,8 +337,6 @@ impl ScenarioResult {
 pub struct SweepResult {
     /// Per-scenario results, in matrix expansion order.
     pub scenarios: Vec<ScenarioResult>,
-    /// Total fuse-tier traffic across the sweep.
-    pub total_cache: CacheStats,
     /// Total per-stage (op/sim/fuse) traffic across the sweep.
     pub total_staged: StagedCacheStats,
 }
@@ -656,9 +640,11 @@ pub enum SweepEvent {
         index: usize,
         /// The finished scenario's ledger record (name, frontier, counts).
         record: CompletedScenario,
-        /// Fuse-tier hit/miss delta attributable to this scenario.
-        cache: CacheStats,
-        /// Per-stage hit/miss delta attributable to this scenario.
+        /// Per-stage hit/miss delta of the evaluator's counters across
+        /// this scenario. With a shared evaluator
+        /// ([`SweepSession::evaluator`]) the counters are shared too, so
+        /// the delta also counts the lookups of anything else using that
+        /// evaluator meanwhile, such as other `fast-serve` jobs.
         staged: StagedCacheStats,
     },
 }
@@ -897,7 +883,6 @@ impl SweepRunner {
         // Sweep-level traffic is reported as a delta so a shared evaluator's
         // history from earlier sweeps never pollutes this result. (For a
         // private evaluator the delta equals the absolute counts.)
-        let total_before = proto.cache_stats();
         let total_staged_before = proto.staged_cache_stats();
 
         let all = self.matrix.scenarios();
@@ -956,7 +941,6 @@ impl SweepRunner {
                 scenario.objective,
                 scenario.budget,
             );
-            let before = evaluator.cache_stats();
             let staged_before = evaluator.staged_cache_stats();
             let mut opt = SeededOptimizer::new(self.config.optimizer.build(), seeds.clone());
             let mut evaluate_round = |points: &[Vec<usize>]| {
@@ -1044,9 +1028,6 @@ impl SweepRunner {
             let report = report.expect("the sweep's study axes are always valid");
             let fidelity = report.fidelity.clone();
             let study = report.into_pareto_result();
-            let after = evaluator.cache_stats();
-            let cache =
-                CacheStats { hits: after.hits - before.hits, misses: after.misses - before.misses };
             let staged = evaluator.staged_cache_stats().since(&staged_before);
 
             // Decode the frontier into design summaries; re-evaluation is a
@@ -1089,7 +1070,7 @@ impl SweepRunner {
                 }
             }
             if let Some(obs) = observer.as_deref_mut() {
-                obs(&SweepEvent::ScenarioFinished { index, record: record.clone(), cache, staged });
+                obs(&SweepEvent::ScenarioFinished { index, record: record.clone(), staged });
             }
             if ck.is_some() {
                 completed.push(record);
@@ -1102,7 +1083,6 @@ impl SweepRunner {
                 frontier_points: study.frontier,
                 best_objective,
                 invalid_trials: study.invalid_trials,
-                cache,
                 staged,
                 fidelity,
             });
@@ -1113,13 +1093,8 @@ impl SweepRunner {
             // time-boxed prefix run stands in for a kill and stays unsealed.
             Evaluator::seal_eval_cache(&ck.cache_path());
         }
-        let total_after = proto.cache_stats();
         SweepResult {
             scenarios,
-            total_cache: CacheStats {
-                hits: total_after.hits - total_before.hits,
-                misses: total_after.misses - total_before.misses,
-            },
             total_staged: proto.staged_cache_stats().since(&total_staged_before),
         }
     }
@@ -1200,17 +1175,17 @@ mod tests {
                 // Same proposals (Random, same seed) against the shared
                 // cache: later scenarios re-score, they don't re-simulate.
                 assert!(
-                    s.cache_hit_rate() > 0.5,
+                    s.staged.fuse.hit_rate() > 0.5,
                     "{}: hit rate {:.2} ({:?})",
                     s.scenario.name,
-                    s.cache_hit_rate(),
-                    s.cache
+                    s.staged.fuse.hit_rate(),
+                    s.staged.fuse
                 );
             }
         }
         assert_eq!(
-            result.total_cache.hits + result.total_cache.misses,
-            result.scenarios.iter().map(|s| s.cache.hits + s.cache.misses).sum::<u64>()
+            result.total_staged.fuse.hits + result.total_staged.fuse.misses,
+            result.scenarios.iter().map(|s| s.staged.fuse.hits + s.staged.fuse.misses).sum::<u64>()
                 + result.scenarios.iter().map(|s| s.frontier.len() as u64).sum::<u64>(),
             "per-scenario deltas + frontier decoding account for all traffic"
         );
@@ -1232,7 +1207,7 @@ mod tests {
         for (a, b) in plain.scenarios.iter().zip(&durable.scenarios) {
             assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
             assert_eq!(
-                a.cache, b.cache,
+                a.staged.fuse, b.staged.fuse,
                 "{}: checkpointing must not perturb cache traffic",
                 a.scenario.name
             );
@@ -1263,11 +1238,11 @@ mod tests {
         // loaded snapshot.
         for s in &resumed.scenarios[..2] {
             assert!(
-                s.cache_hit_rate() > 0.9,
+                s.staged.fuse.hit_rate() > 0.9,
                 "{}: replay hit rate {:.2} ({:?})",
                 s.scenario.name,
-                s.cache_hit_rate(),
-                s.cache
+                s.staged.fuse.hit_rate(),
+                s.staged.fuse
             );
         }
     }

@@ -251,10 +251,10 @@ fn merged_checkpoint_is_resumable_as_single_process() {
     for (a, b) in full.scenarios.iter().zip(&resumed.scenarios) {
         assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
         assert!(
-            b.cache_hit_rate() > 0.9,
+            b.staged.fuse.hit_rate() > 0.9,
             "{}: replay from merged cache hit rate {:.2}",
             b.scenario.name,
-            b.cache_hit_rate()
+            b.staged.fuse.hit_rate()
         );
     }
 }

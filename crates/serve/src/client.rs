@@ -8,12 +8,11 @@
 use std::io;
 use std::time::Duration;
 
-use fast_core::CompletedScenario;
+use fast_core::{CompletedScenario, StagedCacheStats};
 
 use crate::net::{Conn, ListenAddr};
 use crate::protocol::{
-    read_frame, write_frame, FrameError, JobEvent, RejectReason, Request, Response, StagedTraffic,
-    Traffic,
+    read_frame, write_frame, FrameError, JobEvent, RejectReason, Request, Response,
 };
 
 /// Why a client call failed.
@@ -62,11 +61,11 @@ pub struct JobOutcome {
     /// Per-scenario records in matrix order — bit-identical to a
     /// single-process sweep of the same spec.
     pub scenarios: Vec<CompletedScenario>,
-    /// Fuse-tier traffic attributable to the job (zero when the result was
-    /// replayed from the journal).
-    pub cache: Traffic,
-    /// Per-stage traffic attributable to the job.
-    pub staged: StagedTraffic,
+    /// Per-stage traffic: the delta of the daemon's shared evaluator
+    /// counters across the job, so it includes the lookups of jobs running
+    /// at the same time (`--max-inflight` above 1). Zero when the result
+    /// was replayed from the journal.
+    pub staged: StagedCacheStats,
     /// Every event streamed while watching, in arrival order.
     pub events: Vec<JobEvent>,
     /// The [`JobEvent::Warning`] lines, extracted for convenience.
@@ -170,8 +169,8 @@ impl Client {
                     }
                     events.push(event);
                 }
-                Response::Done { id: done_id, scenarios, cache, staged } if done_id == id => {
-                    return Ok(JobOutcome { id, scenarios, cache, staged, events, warnings });
+                Response::Done { id: done_id, scenarios, staged } if done_id == id => {
+                    return Ok(JobOutcome { id, scenarios, staged, events, warnings });
                 }
                 Response::Rejected { reason } => return Err(ClientError::Rejected(reason)),
                 other => return Err(ClientError::Unexpected(format!("{other:?}"))),

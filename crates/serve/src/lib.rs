@@ -34,9 +34,11 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError, JobOutcome};
+/// The per-stage counters on the wire, under their pre-v4 name.
+pub use fast_core::StagedCacheStats as StagedTraffic;
 pub use net::{Conn, ListenAddr, Listener};
 pub use protocol::{
     read_frame, write_frame, FrameError, JobEvent, JobPhase, RejectReason, Request, Response,
-    StagedTraffic, Traffic, MAGIC, MAX_FRAME, VERSION,
+    MAGIC, MAX_FRAME, VERSION,
 };
 pub use server::{serve, ServerConfig};

@@ -24,10 +24,17 @@
 //! [`Response::Rejected`]`(`[`RejectReason::BadFrame`]`)` and closes the
 //! connection, so a fuzzer sees a typed reject or a clean close — never a
 //! hang and never a crash.
+//!
+//! # Counters
+//!
+//! Cache and solver counters travel as core's own record,
+//! [`StagedCacheStats`] (op, sim and fuse tiers plus the exact solver),
+//! through the codec next to that type, the way [`FidelityReport`] and
+//! [`CompletedScenario`] travel. The protocol declares no counter types.
 
 use std::io::{self, Read, Write};
 
-use fast_core::{CacheStats, CompletedScenario, FidelityReport, JobSpec, StagedCacheStats};
+use fast_core::{CompletedScenario, FidelityReport, JobSpec, StagedCacheStats};
 use serde::bin::{self, Decode, DecodeError, Encode, Reader, Writer};
 
 /// Frame magic: the protocol's on-wire name.
@@ -35,10 +42,12 @@ pub const MAGIC: [u8; 8] = *b"FASTSRV1";
 
 /// Protocol version; both sides must agree exactly. Version 2 added the
 /// multi-fidelity fields: [`JobEvent::Round::full_evals`] and
-/// [`JobEvent::ScenarioFinished::fidelity`]. Version 3 added
-/// [`StagedTraffic::solver`], the per-job exact-solver counters (warm-start
-/// hit rate, branch-and-bound node counts, simplex pivots).
-pub const VERSION: u32 = 3;
+/// [`JobEvent::ScenarioFinished::fidelity`]. Version 3 added the per-job
+/// exact-solver counters (warm-start hit rate, branch-and-bound node
+/// counts, simplex pivots). Version 4 dropped the fuse-only `cache`
+/// counters beside `staged` (they repeated `staged.fuse`) and carries
+/// core's [`StagedCacheStats`] record itself.
+pub const VERSION: u32 = 4;
 
 /// Hard ceiling on a frame payload. A header claiming more is rejected
 /// before any payload byte is read or allocated.
@@ -46,166 +55,6 @@ pub const MAX_FRAME: u64 = 16 * 1024 * 1024;
 
 /// Byte length of the frame header ([`bin::ENVELOPE_HEADER_LEN`]).
 pub const HEADER_LEN: usize = bin::ENVELOPE_HEADER_LEN;
-
-// ---------------------------------------------------------------------------
-// Cache-traffic mirrors
-// ---------------------------------------------------------------------------
-
-/// Hit/miss counters for one cache tier, as carried on the wire (a
-/// serve-local mirror of [`fast_core::CacheStats`], which lives in another
-/// crate and owns no wire encoding).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Traffic {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that ran the underlying stage.
-    pub misses: u64,
-}
-
-impl Traffic {
-    /// Fraction of lookups answered from the cache (0 when untouched).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl From<CacheStats> for Traffic {
-    fn from(s: CacheStats) -> Self {
-        Traffic { hits: s.hits, misses: s.misses }
-    }
-}
-
-/// Per-stage traffic: op tier (Stage A), sim tier (Stage B), fuse tier
-/// (Stage C) plus exact-solver counters — the wire mirror of
-/// [`fast_core::StagedCacheStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StagedTraffic {
-    /// Per-op mapper lookups.
-    pub op: Traffic,
-    /// Per-workload perf assemblies.
-    pub sim: Traffic,
-    /// Fusion solves.
-    pub fuse: Traffic,
-    /// Exact-solver work behind the fuse misses (all zero on the default
-    /// heuristic-only fusion path).
-    pub solver: SolverTraffic,
-}
-
-/// Exact-fusion solver counters, as carried on the wire (the serve-local
-/// mirror of [`fast_core::SolverStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverTraffic {
-    /// Exact solves seeded by a cross-point warm-start incumbent.
-    pub warm_hits: u64,
-    /// Exact solves with no usable incumbent.
-    pub warm_misses: u64,
-    /// Branch-and-bound nodes spent in warm-seeded solves.
-    pub warm_nodes: u64,
-    /// Branch-and-bound nodes spent in cold solves.
-    pub cold_nodes: u64,
-    /// Total simplex pivots across all exact solves.
-    pub lp_pivots: u64,
-}
-
-impl SolverTraffic {
-    /// Warm-start hit rate over the exact solves (0 when none ran).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.warm_hits + self.warm_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.warm_hits as f64 / total as f64
-        }
-    }
-}
-
-impl From<fast_core::SolverStats> for SolverTraffic {
-    fn from(s: fast_core::SolverStats) -> Self {
-        SolverTraffic {
-            warm_hits: s.warm_hits,
-            warm_misses: s.warm_misses,
-            warm_nodes: s.warm_nodes,
-            cold_nodes: s.cold_nodes,
-            lp_pivots: s.lp_pivots,
-        }
-    }
-}
-
-impl From<StagedCacheStats> for StagedTraffic {
-    fn from(s: StagedCacheStats) -> Self {
-        StagedTraffic {
-            op: s.op.into(),
-            sim: s.sim.into(),
-            fuse: s.fuse.into(),
-            solver: s.solver.into(),
-        }
-    }
-}
-
-impl Encode for Traffic {
-    fn encode(&self, w: &mut Writer) {
-        let Traffic { hits, misses } = self;
-        w.put_u64(*hits);
-        w.put_u64(*misses);
-    }
-}
-
-impl Decode for Traffic {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Traffic { hits: r.get_u64()?, misses: r.get_u64()? })
-    }
-}
-
-impl Encode for StagedTraffic {
-    fn encode(&self, w: &mut Writer) {
-        let StagedTraffic { op, sim, fuse, solver } = self;
-        op.encode(w);
-        sim.encode(w);
-        fuse.encode(w);
-        solver.encode(w);
-    }
-}
-
-impl Decode for StagedTraffic {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(StagedTraffic {
-            op: Decode::decode(r)?,
-            sim: Decode::decode(r)?,
-            fuse: Decode::decode(r)?,
-            solver: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SolverTraffic {
-    fn encode(&self, w: &mut Writer) {
-        let SolverTraffic { warm_hits, warm_misses, warm_nodes, cold_nodes, lp_pivots } = self;
-        w.put_u64(*warm_hits);
-        w.put_u64(*warm_misses);
-        w.put_u64(*warm_nodes);
-        w.put_u64(*cold_nodes);
-        w.put_u64(*lp_pivots);
-    }
-}
-
-impl Decode for SolverTraffic {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SolverTraffic {
-            warm_hits: r.get_u64()?,
-            warm_misses: r.get_u64()?,
-            warm_nodes: r.get_u64()?,
-            cold_nodes: r.get_u64()?,
-            lp_pivots: r.get_u64()?,
-        })
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -482,7 +331,7 @@ pub enum JobEvent {
         /// by the surrogate-screened-out count.
         full_evals: Option<usize>,
     },
-    /// A scenario finished; counts plus the cache traffic it caused.
+    /// A scenario finished; counts plus the cache traffic seen while it ran.
     ScenarioFinished {
         /// Position in the job's scenario list.
         index: usize,
@@ -494,10 +343,10 @@ pub enum JobEvent {
         best_objective: Option<f64>,
         /// Safe-search rejections in its study.
         invalid_trials: usize,
-        /// Fuse-tier traffic attributable to this scenario.
-        cache: Traffic,
-        /// Per-stage traffic attributable to this scenario.
-        staged: StagedTraffic,
+        /// Per-stage traffic: the delta of the daemon's shared evaluator
+        /// counters across this scenario. Jobs running at the same time
+        /// (`--max-inflight` above 1) add their lookups to it too.
+        staged: StagedCacheStats,
         /// Surrogate-screening accounting (full-sim count, screened-out
         /// count, surrogate-vs-true rank correlations) — `Some` iff the
         /// job ran with [`fast_core::Fidelity::Screened`].
@@ -553,7 +402,6 @@ impl Encode for JobEvent {
                 frontier_size,
                 best_objective,
                 invalid_trials,
-                cache,
                 staged,
                 fidelity,
             } => {
@@ -563,7 +411,6 @@ impl Encode for JobEvent {
                 frontier_size.encode(w);
                 best_objective.encode(w);
                 invalid_trials.encode(w);
-                cache.encode(w);
                 staged.encode(w);
                 fidelity.encode(w);
             }
@@ -600,7 +447,6 @@ impl Decode for JobEvent {
                 frontier_size: Decode::decode(r)?,
                 best_objective: Decode::decode(r)?,
                 invalid_trials: Decode::decode(r)?,
-                cache: Decode::decode(r)?,
                 staged: Decode::decode(r)?,
                 fidelity: Decode::decode(r)?,
             },
@@ -643,10 +489,11 @@ pub enum Response {
         id: u64,
         /// Per-scenario records in matrix order.
         scenarios: Vec<CompletedScenario>,
-        /// Fuse-tier traffic attributable to the whole job.
-        cache: Traffic,
-        /// Per-stage traffic attributable to the whole job.
-        staged: StagedTraffic,
+        /// Per-stage traffic: the delta of the daemon's shared evaluator
+        /// counters across the whole job, so it includes the lookups of
+        /// jobs running at the same time (`--max-inflight` above 1). Zero
+        /// when the result was replayed from the journal.
+        staged: StagedCacheStats,
     },
     /// Answer to [`Request::Status`].
     JobStatus {
@@ -682,11 +529,10 @@ impl Encode for Response {
                 w.put_u64(*id);
                 event.encode(w);
             }
-            Response::Done { id, scenarios, cache, staged } => {
+            Response::Done { id, scenarios, staged } => {
                 w.put_u8(4);
                 w.put_u64(*id);
                 scenarios.encode(w);
-                cache.encode(w);
                 staged.encode(w);
             }
             Response::JobStatus { id, phase } => {
@@ -713,7 +559,6 @@ impl Decode for Response {
             4 => Response::Done {
                 id: r.get_u64()?,
                 scenarios: Decode::decode(r)?,
-                cache: Decode::decode(r)?,
                 staged: Decode::decode(r)?,
             },
             5 => Response::JobStatus { id: r.get_u64()?, phase: Decode::decode(r)? },
@@ -907,7 +752,8 @@ pub fn read_frame<T: Decode>(stream: &mut impl Read) -> Result<T, FrameError> {
 mod tests {
     use super::*;
     use fast_core::{
-        BudgetLevel, Fidelity, Objective, OptimizerKind, ScenarioMatrix, SurrogateTier, SweepConfig,
+        BudgetLevel, CacheStats, Fidelity, Objective, OptimizerKind, ScenarioMatrix, SolverStats,
+        SurrogateTier, SweepConfig,
     };
     use fast_models::WorkloadDomain;
 
@@ -930,6 +776,24 @@ mod tests {
                     min_full: 2,
                     tier: SurrogateTier::S1,
                 },
+            },
+        }
+    }
+
+    /// Counters `first, first + 1, …, first + 10` in field order, so a
+    /// codec that swaps two fields cannot round-trip.
+    fn distinct_staged(first: u64) -> StagedCacheStats {
+        let n = |i: u64| first + i;
+        StagedCacheStats {
+            op: CacheStats { hits: n(0), misses: n(1) },
+            sim: CacheStats { hits: n(2), misses: n(3) },
+            fuse: CacheStats { hits: n(4), misses: n(5) },
+            solver: SolverStats {
+                warm_hits: n(6),
+                warm_misses: n(7),
+                warm_nodes: n(8),
+                cold_nodes: n(9),
+                lp_pivots: n(10),
             },
         }
     }
@@ -1004,8 +868,7 @@ mod tests {
                     frontier_size: 3,
                     best_objective: Some(123.5),
                     invalid_trials: 2,
-                    cache: Traffic { hits: 4, misses: 9 },
-                    staged: StagedTraffic::default(),
+                    staged: distinct_staged(1),
                     fidelity: Some(fast_core::FidelityReport {
                         tier: SurrogateTier::S0,
                         keep_fraction: 0.25,
@@ -1018,12 +881,7 @@ mod tests {
                     }),
                 },
             },
-            Response::Done {
-                id: 1,
-                scenarios: Vec::new(),
-                cache: Traffic { hits: 10, misses: 2 },
-                staged: StagedTraffic::default(),
-            },
+            Response::Done { id: 1, scenarios: Vec::new(), staged: distinct_staged(4) },
             Response::JobStatus { id: 2, phase: JobPhase::Queued { position: 1 } },
             Response::Jobs {
                 jobs: vec![(1, JobPhase::Done), (2, JobPhase::Damaged { what: "x".into() })],
@@ -1134,12 +992,5 @@ mod tests {
             Err(FrameError::Corrupt { what }) => assert!(what.contains("trailing")),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn traffic_hit_rate() {
-        assert_eq!(Traffic::default().hit_rate(), 0.0);
-        let t = Traffic { hits: 3, misses: 1 };
-        assert!((t.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

@@ -50,8 +50,8 @@ use std::time::Duration;
 
 use fast_arch::Budget;
 use fast_core::{
-    warn, Evaluator, JobEntry, JobId, JobJournal, JobSpec, JobState, Objective, SweepEvent,
-    SweepRunner, SweepSession,
+    warn, Evaluator, JobEntry, JobId, JobJournal, JobSpec, JobState, Objective, StagedCacheStats,
+    SweepEvent, SweepRunner, SweepSession,
 };
 
 use crate::net::{Conn, ListenAddr, Listener};
@@ -288,18 +288,15 @@ fn wire_event(ev: &SweepEvent) -> JobEvent {
             frontier_size: *frontier_size,
             full_evals: *full_evals,
         },
-        SweepEvent::ScenarioFinished { index, record, cache, staged } => {
-            JobEvent::ScenarioFinished {
-                index: *index,
-                name: record.name.clone(),
-                frontier_size: record.frontier_points.len(),
-                best_objective: record.best_objective,
-                invalid_trials: record.invalid_trials,
-                cache: (*cache).into(),
-                staged: (*staged).into(),
-                fidelity: record.fidelity.clone(),
-            }
-        }
+        SweepEvent::ScenarioFinished { index, record, staged } => JobEvent::ScenarioFinished {
+            index: *index,
+            name: record.name.clone(),
+            frontier_size: record.frontier_points.len(),
+            best_objective: record.best_objective,
+            invalid_trials: record.invalid_trials,
+            staged: *staged,
+            fidelity: record.fidelity.clone(),
+        },
     }
 }
 
@@ -317,16 +314,8 @@ fn run_job(shared: &Shared, id: JobId) {
     // kill, re-queued by a racing restart) replays it instead of re-running.
     if shared.journal.has_result(id) {
         if let Ok(scenarios) = shared.journal.load_result(id) {
-            finish(
-                shared,
-                raw,
-                &Response::Done {
-                    id: raw,
-                    scenarios,
-                    cache: crate::protocol::Traffic::default(),
-                    staged: crate::protocol::StagedTraffic::default(),
-                },
-            );
+            let staged = StagedCacheStats::default();
+            finish(shared, raw, &Response::Done { id: raw, scenarios, staged });
             return;
         }
         // Unreadable result: fall through and recompute it — the
@@ -393,12 +382,7 @@ fn run_job(shared: &Shared, id: JobId) {
     finish(
         shared,
         raw,
-        &Response::Done {
-            id: raw,
-            scenarios: records,
-            cache: result.total_cache.into(),
-            staged: result.total_staged.into(),
-        },
+        &Response::Done { id: raw, scenarios: records, staged: result.total_staged },
     );
 }
 
@@ -542,12 +526,7 @@ fn handle_watch(shared: &Shared, conn: &mut Conn, id: u64) -> bool {
         }
         drop(watchers);
         let resp = match shared.journal.load_result(JobId(id)) {
-            Ok(scenarios) => Response::Done {
-                id,
-                scenarios,
-                cache: crate::protocol::Traffic::default(),
-                staged: crate::protocol::StagedTraffic::default(),
-            },
+            Ok(scenarios) => Response::Done { id, scenarios, staged: StagedCacheStats::default() },
             Err(what) => Response::Rejected { reason: RejectReason::Damaged { what } },
         };
         return write_frame(conn, &resp).is_ok();

@@ -84,11 +84,11 @@ fn a_second_client_on_a_shared_domain_runs_mostly_warm() {
     let warm = second.run(&spec_b).expect("second job completes");
     assert_eq!(outcome_points(&warm), expected, "cache temperature must not alter results");
     assert!(
-        warm.cache.hit_rate() > 0.5,
+        warm.staged.fuse.hit_rate() > 0.5,
         "second client on a shared domain should run >50% warm, got {:.0}% ({}/{})",
-        100.0 * warm.cache.hit_rate(),
-        warm.cache.hits,
-        warm.cache.misses
+        100.0 * warm.staged.fuse.hit_rate(),
+        warm.staged.fuse.hits,
+        warm.staged.fuse.misses
     );
 }
 

@@ -113,7 +113,7 @@ fn sigkill_at_scenario_boundary_replays_completed_scenarios_warm() {
         .events
         .iter()
         .filter_map(|e| match e {
-            JobEvent::ScenarioFinished { index: 0, cache, .. } => Some(*cache),
+            JobEvent::ScenarioFinished { index: 0, staged, .. } => Some(staged.fuse),
             _ => None,
         })
         .collect();

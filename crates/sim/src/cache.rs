@@ -121,6 +121,33 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+impl CacheStats {
+    /// Fraction of lookups answered from the cache (0 when untouched).
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+impl serde::bin::Encode for CacheStats {
+    fn encode(&self, w: &mut serde::bin::Writer) {
+        let CacheStats { hits, misses } = *self;
+        hits.encode(w);
+        misses.encode(w);
+    }
+}
+
+impl serde::bin::Decode for CacheStats {
+    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+        Ok(CacheStats { hits: u64::decode(r)?, misses: u64::decode(r)? })
+    }
+}
+
 /// A memoization tier whose values are computed at most once per key:
 /// losers of an insertion race block on the winner's `OnceLock` instead of
 /// recomputing, so hit/miss totals are deterministic (first asker per key
@@ -448,6 +475,13 @@ mod tests {
             stationary_is_activation: false,
             input_reuse: 1,
         }
+    }
+
+    #[test]
+    fn traffic_hit_rate() {
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+        let t = CacheStats { hits: 3, misses: 1 };
+        assert!((t.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -68,11 +68,11 @@ fn interrupted_sweep_resumes_bit_identically_with_warm_cache() {
     // Replayed scenarios answer from the loaded snapshot.
     for s in &resumed.scenarios[..2] {
         assert!(
-            s.cache_hit_rate() > 0.9,
+            s.staged.fuse.hit_rate() > 0.9,
             "{}: replayed scenario hit rate {:.2} ({:?})",
             s.scenario.name,
-            s.cache_hit_rate(),
-            s.cache
+            s.staged.fuse.hit_rate(),
+            s.staged.fuse
         );
     }
 }
@@ -97,9 +97,9 @@ fn mid_scenario_kill_loses_at_most_one_round() {
         assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
     }
     assert!(
-        resumed.scenarios[0].cache_hit_rate() > 0.9,
+        resumed.scenarios[0].staged.fuse.hit_rate() > 0.9,
         "rounds finished before the kill must replay from the snapshot: {:?}",
-        resumed.scenarios[0].cache
+        resumed.scenarios[0].staged.fuse
     );
 }
 

@@ -50,9 +50,9 @@ proptest! {
         let Some((cfg, sim)) = found else { return Ok(()) };
 
         // Second evaluation: answered from the cache.
-        let before = e.cache_stats();
+        let before = e.staged_cache_stats().fuse;
         let cached = e.evaluate(&cfg, &sim).expect("just evaluated fine");
-        prop_assert!(e.cache_stats().hits > before.hits, "second run must hit the cache");
+        prop_assert!(e.staged_cache_stats().fuse.hits > before.hits, "second run must hit the cache");
 
         // Fresh evaluator: same pipeline, empty cache.
         let fresh = e.fresh_eval_cache().evaluate(&cfg, &sim).expect("deterministic");
@@ -117,10 +117,10 @@ fn second_study_runs_entirely_from_cache() {
             .expect("valid configuration")
     };
     let first = run();
-    let misses_after_first = e.cache_stats().misses;
+    let misses_after_first = e.staged_cache_stats().fuse.misses;
     let second = run();
     assert_eq!(
-        e.cache_stats().misses,
+        e.staged_cache_stats().fuse.misses,
         misses_after_first,
         "identical study must not re-run the simulator"
     );

@@ -140,11 +140,11 @@ fn sweep_matrix_shares_cache_and_emits_frontiers() {
         }
         if i > 0 {
             assert!(
-                s.cache_hit_rate() > 0.5,
+                s.staged.fuse.hit_rate() > 0.5,
                 "{}: hit rate {:.2} ({:?}) — re-scoring must reuse simulations",
                 s.scenario.name,
-                s.cache_hit_rate(),
-                s.cache
+                s.staged.fuse.hit_rate(),
+                s.staged.fuse
             );
         }
     }

@@ -87,11 +87,8 @@ fn staged_sweep_frontiers_match_monolithic_reevaluation() {
     let space = fast::core::FastSpace::table3();
     for s in &result.scenarios {
         assert!(!s.frontier.is_empty(), "{}", s.scenario.name);
-        // Per-stage stats are surfaced per scenario and account for the
-        // fuse-tier traffic the `cache` field reports.
-        assert_eq!(s.staged.fuse, s.cache, "{}", s.scenario.name);
         assert!(
-            s.staged.op.hits + s.staged.op.misses > 0 || s.cache.misses == 0,
+            s.staged.op.hits + s.staged.op.misses > 0 || s.staged.fuse.misses == 0,
             "{}: scenarios that simulate must touch the mapper",
             s.scenario.name
         );
