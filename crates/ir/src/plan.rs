@@ -8,12 +8,15 @@
 //! the XLA-style region partition with its boundary bytes and producer
 //! linkage, and the workload totals. [`SimPlan`] holds exactly that, lowered
 //! once per graph ([`Graph::sim_plan`]), so simulating one more design is a
-//! flat pass that prices ops and does per-region arithmetic.
+//! flat pass that prices ops and does per-region arithmetic. Matrix ops of
+//! equal shape share one loop-nest slot, so a design prices each distinct
+//! nest once.
 
 use crate::fusion_regions::{build_regions, RegionId};
 use crate::graph::{Graph, NodeId};
 use crate::loop_nest::LoopNest;
 use crate::ops::OpKind;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The datapath-independent lowering of one [`Graph`] that the simulator
@@ -22,10 +25,12 @@ use std::sync::Arc;
 pub struct SimPlan {
     /// Every node, in node (topological) order.
     pub nodes: Vec<PlanNode>,
-    /// Loop nests of the matrix ops, in node order.
+    /// The distinct loop nests of the matrix ops, in order of first use
+    /// (node order). Each matrix op names its slot ([`PlanOp::Matrix`]).
     pub nests: Vec<LoopNest>,
-    /// Names of the matrix ops, parallel to [`SimPlan::nests`].
-    pub nest_names: Vec<Arc<str>>,
+    /// Matrix ops whose nest an earlier op already has: the lookups a
+    /// per-op walk makes beyond one per distinct nest.
+    pub repeated_nests: u64,
     /// Compute regions (graph-input placeholders excluded) in execution
     /// order.
     pub regions: Vec<PlanRegion>,
@@ -61,8 +66,11 @@ pub struct PlanNode {
 /// How the simulator prices one node.
 #[derive(Debug, Clone, Copy)]
 pub enum PlanOp {
-    /// A matrix op, mapped from the next nest of [`SimPlan::nests`].
-    Matrix,
+    /// A matrix op, mapped from its slot of [`SimPlan::nests`].
+    Matrix {
+        /// Index into [`SimPlan::nests`].
+        nest: usize,
+    },
     /// A vector op, costed on the VPU.
     Vector {
         /// The operator.
@@ -115,7 +123,8 @@ impl SimPlan {
     pub(crate) fn lower(graph: &Graph) -> SimPlan {
         let mut nodes = Vec::with_capacity(graph.len());
         let mut nests = Vec::new();
-        let mut nest_names = Vec::new();
+        let mut slot_of: HashMap<LoopNest, usize> = HashMap::new();
+        let mut repeated_nests = 0;
         let mut total_flops = 0;
         let mut matrix_flops = 0;
         for node in graph.nodes() {
@@ -125,10 +134,15 @@ impl SimPlan {
             total_flops += flops;
             let op = match graph.loop_nest(id) {
                 Some(nest) => {
-                    nests.push(nest);
-                    nest_names.push(Arc::clone(&name));
+                    let first_use = nests.len();
+                    let slot = *slot_of.entry(nest).or_insert(first_use);
+                    if slot == first_use {
+                        nests.push(nest);
+                    } else {
+                        repeated_nests += 1;
+                    }
                     matrix_flops += flops;
-                    PlanOp::Matrix
+                    PlanOp::Matrix { nest: slot }
                 }
                 None => PlanOp::Vector {
                     kind: *node.kind(),
@@ -165,8 +179,10 @@ impl SimPlan {
             .compute_regions()
             .map(|r| {
                 let primary = primary_edges[r.id().index()];
-                let (matrix, vector) =
-                    r.nodes.iter().partition(|&&n| matches!(nodes[n.index()].op, PlanOp::Matrix));
+                let (matrix, vector) = r
+                    .nodes
+                    .iter()
+                    .partition(|&&n| matches!(nodes[n.index()].op, PlanOp::Matrix { .. }));
                 PlanRegion {
                     id: r.id(),
                     name: Arc::from(r.name.as_str()),
@@ -199,7 +215,7 @@ impl SimPlan {
             .find(|n| matches!(n.kind(), OpKind::Input))
             .map(|n| *n.shape().dims().first().unwrap_or(&1))
             .unwrap_or(1);
-        SimPlan { nodes, nests, nest_names, regions, batch, total_flops, matrix_flops }
+        SimPlan { nodes, nests, repeated_nests, regions, batch, total_flops, matrix_flops }
     }
 }
 
@@ -232,8 +248,9 @@ mod tests {
         let plan = g.sim_plan();
         assert_eq!(plan.nodes.len(), g.len());
         let nests: Vec<LoopNest> = g.nodes().filter_map(|n| g.loop_nest(n.id())).collect();
-        assert_eq!(plan.nests, nests);
-        assert_eq!(plan.nest_names.len(), nests.len());
+        assert_eq!(plan.nests, nests, "four matrix ops, four shapes");
+        assert_eq!(plan.repeated_nests, 0);
+        assert_nest_slots(&g);
         assert_eq!(plan.total_flops, g.total_flops());
         assert_eq!(plan.batch, 2);
 
@@ -257,5 +274,55 @@ mod tests {
         let c1 = plan.regions.iter().find(|r| &*r.name == "c1").unwrap();
         assert_eq!(c1.vector.len(), 2, "the add and the relu joined c1's region");
         assert_eq!(c1.primary_input, Some(0), "the tie goes to c0's region, not the input");
+    }
+
+    /// Every matrix op's slot holds its nest, and the slots are the
+    /// distinct nests in order of first use.
+    fn assert_nest_slots(g: &Graph) {
+        let plan = g.sim_plan();
+        let mut first_uses: Vec<LoopNest> = Vec::new();
+        let mut ops = 0;
+        for node in &plan.nodes {
+            let nest = g.loop_nest(node.id);
+            match node.op {
+                PlanOp::Matrix { nest: slot } => {
+                    let nest = nest.expect("a matrix op has a loop nest");
+                    assert_eq!(plan.nests[slot], nest, "{}", node.name);
+                    if !first_uses.contains(&nest) {
+                        first_uses.push(nest);
+                    }
+                    ops += 1;
+                }
+                PlanOp::Vector { .. } => assert_eq!(nest, None, "{}", node.name),
+            }
+        }
+        assert_eq!(plan.nests, first_uses);
+        assert_eq!(plan.repeated_nests, ops - first_uses.len() as u64);
+    }
+
+    #[test]
+    fn equal_shapes_share_one_nest_slot() {
+        let mut g = Graph::new("twins", DType::Bf16);
+        let x = g.input("x", [4, 64]);
+        let a = g.matmul("a", x, MatMulGeom { k: 64, n: 64 }).unwrap();
+        let r = g.relu("r", a).unwrap();
+        let b = g.matmul("b", r, MatMulGeom { k: 64, n: 64 }).unwrap();
+        let c = g.matmul("c", b, MatMulGeom { k: 64, n: 32 }).unwrap();
+        let d = g.matmul("d", c, MatMulGeom { k: 32, n: 64 }).unwrap();
+        let e = g.matmul("e", d, MatMulGeom { k: 64, n: 64 }).unwrap();
+        g.mark_output(e);
+        let plan = g.sim_plan();
+        assert_eq!(plan.nests.len(), 3, "a, b and e share one shape");
+        assert_eq!(plan.repeated_nests, 2);
+        let slots: Vec<usize> = plan
+            .nodes
+            .iter()
+            .filter_map(|n| match n.op {
+                PlanOp::Matrix { nest } => Some(nest),
+                PlanOp::Vector { .. } => None,
+            })
+            .collect();
+        assert_eq!(slots, [0, 0, 1, 2, 0]);
+        assert_nest_slots(&g);
     }
 }

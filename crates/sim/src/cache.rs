@@ -18,7 +18,7 @@ use crate::error::{MapFailure, SimError};
 use crate::mapper::{map_op, DataflowSet, Mapping, PaddingMode};
 use fast_arch::{BufferSharing, DatapathConfig};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -148,6 +148,52 @@ impl serde::bin::Decode for CacheStats {
     }
 }
 
+/// rustc's FxHash: each word is folded in with one rotate, xor and
+/// multiply. Fast on the tiers' small fixed-size keys, and seedless; see
+/// [`Tier`] for why a fixed hash is safe there.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// A memoization tier whose values are computed at most once per key:
 /// losers of an insertion race block on the winner's `OnceLock` instead of
 /// recomputing, so hit/miss totals are deterministic (first asker per key
@@ -158,6 +204,15 @@ impl serde::bin::Decode for CacheStats {
 /// A persisted tier can also log its first-computed entries
 /// ([`Tier::track_new`]) so an append-only checkpoint writes each entry
 /// once ([`Tier::take_new`]) instead of re-exporting the whole table.
+///
+/// The table hashes with `FxHasher`, a fixed multiply–rotate hash, in
+/// place of the standard library's seeded SipHash: every lookup hashes its
+/// key under the tier's lock, and SipHash's defence against crafted
+/// collisions buys nothing here, because every key derives from the
+/// bounded Table-3 search space and the in-tree graphs, never from outside
+/// input (a served job's seed designs are encoded into that space before
+/// anything is evaluated). No output depends on the table's iteration
+/// order: exports are sorted before they are written.
 pub struct Tier<K, V> {
     entries: Mutex<Entries<K, V>>,
     hits: AtomicU64,
@@ -169,7 +224,7 @@ type Cell<V> = Arc<OnceLock<V>>;
 /// What the tier's lock guards: the table, plus the log of first-computed
 /// entries not yet taken (`None` until [`Tier::track_new`]).
 struct Entries<K, V> {
-    map: HashMap<K, Cell<V>>,
+    map: HashMap<K, Cell<V>, BuildHasherDefault<FxHasher>>,
     new: Option<Vec<(K, Cell<V>)>>,
 }
 
@@ -193,7 +248,7 @@ impl<K: Eq + Hash + Clone, V> Entries<K, V> {
 impl<K, V> Default for Tier<K, V> {
     fn default() -> Self {
         Tier {
-            entries: Mutex::new(Entries { map: HashMap::new(), new: None }),
+            entries: Mutex::new(Entries { map: HashMap::default(), new: None }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -227,15 +282,19 @@ impl<K: Eq + Hash + Clone, V: Clone> Tier<K, V> {
     ///
     /// Hit/miss accounting is identical to asking the keys one at a time in
     /// order: the first occurrence of an uncached key is the one miss;
-    /// duplicates and already-cached keys are hits.
+    /// duplicates and already-cached keys are hits. `repeats` more lookups,
+    /// which the caller answers from this batch's values because they
+    /// repeat one of its keys, count as hits too.
     pub fn get_or_compute_batch(
         &self,
         keys: Vec<K>,
+        repeats: u64,
         compute_batch: impl FnOnce(&[usize]) -> Vec<V>,
         mut compute_one: impl FnMut(usize) -> V,
     ) -> Vec<V> {
         let mut cells: Vec<Arc<OnceLock<V>>> = Vec::with_capacity(keys.len());
         let mut owned: Vec<usize> = Vec::new();
+        self.hits.fetch_add(repeats, Ordering::Relaxed);
         {
             let mut entries = self.entries.lock().expect("cache tier poisoned");
             for (i, key) in keys.into_iter().enumerate() {
@@ -380,37 +439,34 @@ impl MapperCache {
             .map_err(|cause| cause.for_op(op))
     }
 
-    /// Batched [`MapperCache::map`]: resolves a workload's worth of nests
-    /// in one pass, answering hits from the cache and pricing all misses
-    /// together through the batched mapper (`map_ops_batch`) — one L1
-    /// precondition check and a contiguous costing pass instead of per-op
-    /// dispatch.
+    /// Batched [`MapperCache::map`] over a workload's distinct loop nests
+    /// ([`fast_ir::SimPlan::nests`]): answers hits from the cache and prices
+    /// all misses together through the batched mapper (`map_ops_batch`) —
+    /// one L1 precondition check and a contiguous costing pass instead of
+    /// per-op dispatch. Failures come back name-free; the caller attaches
+    /// the name of the op that asks ([`MapFailure::for_op`]).
     ///
-    /// Results (including per-op failures, with each asking op's name
-    /// attached) and hit/miss accounting are bit-identical to calling
-    /// [`MapperCache::map`] per `(nest, op)` pair in order.
-    pub fn map_batch<S: AsRef<str>>(
+    /// `repeats` counts the workload's other matrix ops, whose nests repeat
+    /// one of `nests` and which the caller prices from these results. They
+    /// count as hits, so the totals equal a [`MapperCache::map`] per matrix
+    /// op in node order.
+    pub fn map_batch(
         &self,
         nests: &[fast_ir::LoopNest],
+        repeats: u64,
         cfg: &DatapathConfig,
         opts: &SimOptions,
-        ops: &[S],
-    ) -> Vec<Result<Mapping, SimError>> {
-        debug_assert_eq!(nests.len(), ops.len(), "one op name per nest");
+    ) -> Vec<Result<Mapping, MapFailure>> {
         let keys: Vec<OpKey> = nests.iter().map(|n| OpKey::of(n, cfg, opts)).collect();
-        let results = self.tier.get_or_compute_batch(
+        self.tier.get_or_compute_batch(
             keys,
+            repeats,
             |owned| {
                 let miss_nests: Vec<fast_ir::LoopNest> = owned.iter().map(|&i| nests[i]).collect();
                 crate::mapper::map_ops_batch(&miss_nests, cfg, opts.padding, opts.dataflows)
             },
             |i| map_op(&nests[i], cfg, opts.padding, opts.dataflows),
-        );
-        results
-            .into_iter()
-            .zip(ops)
-            .map(|(r, op)| r.map_err(|cause| cause.for_op(op.as_ref())))
-            .collect()
+        )
     }
 
     /// Hit/miss totals since this cache was created.
@@ -533,13 +589,19 @@ mod tests {
         let b = nest(8, 14, 512, 512);
         let c = nest(4, 14, 512, 128);
 
-        // Pre-warm `b`, then batch [a, b, a, c]: sequentially that is
-        // miss, hit, hit (duplicate), miss.
+        // Pre-warm `b`, then ask for the ops [a, b, a, c]: sequentially
+        // that is miss, hit, hit (duplicate), miss. Batched, the duplicate is
+        // either in the list or a repeat the caller answers itself.
         let cache = MapperCache::new();
         let _ = cache.map(&b, &cfg, &opts, "warm").unwrap();
-        let batch = cache.map_batch(&[a, b, a, c], &cfg, &opts, &["op_a", "op_b", "op_a2", "op_c"]);
+        let batch = cache.map_batch(&[a, b, a, c], 0, &cfg, &opts);
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 3 });
         assert_eq!(cache.len(), 3);
+        let distinct = MapperCache::new();
+        let _ = distinct.map(&b, &cfg, &opts, "warm").unwrap();
+        let by_nest = distinct.map_batch(&[a, b, c], 1, &cfg, &opts);
+        assert_eq!(distinct.stats(), CacheStats { hits: 2, misses: 3 });
+        assert_eq!([&batch[0], &batch[1], &batch[3]], [&by_nest[0], &by_nest[1], &by_nest[2]]);
 
         // Values equal the sequential path's, entry for entry.
         let seq = MapperCache::new();
@@ -553,16 +615,24 @@ mod tests {
 
     #[test]
     fn batch_failures_carry_each_asking_ops_name() {
+        // One unmappable shape asked by two differently named ops: the
+        // batch's failure is name-free and cached, and each simulation names
+        // the op that asked.
         let cache = MapperCache::new();
         let mut cfg = presets::tpu_v3();
         cfg.l1_input_kib = 1;
         cfg.l1_weight_kib = 1;
         cfg.l1_output_kib = 1;
         let opts = SimOptions::default();
-        let n = nest(1, 28, 256, 256);
-        let batch = cache.map_batch(&[n, n], &cfg, &opts, &["conv_1", "conv_2"]);
-        let [first, second] = &batch[..] else { panic!("two results") };
-        let (first, second) = (first.as_ref().unwrap_err(), second.as_ref().unwrap_err());
+        let graph = |op: &str| {
+            let mut g = fast_ir::Graph::new(op, fast_ir::DType::Bf16);
+            let x = g.input("x", [1, 256]);
+            let m = g.matmul(op, x, fast_ir::MatMulGeom { k: 256, n: 256 }).unwrap();
+            g.mark_output(m);
+            g
+        };
+        let first = crate::simulate_staged(&graph("conv_1"), &cfg, &opts, &cache).unwrap_err();
+        let second = crate::simulate_staged(&graph("conv_2"), &cfg, &opts, &cache).unwrap_err();
         assert_eq!(first.op, "conv_1");
         assert_eq!(second.op, "conv_2");
         assert_eq!(first.cause, second.cause);
@@ -614,6 +684,7 @@ mod tests {
                         } else {
                             let got = tier.get_or_compute_batch(
                                 keys.clone(),
+                                0,
                                 |owned| owned.iter().map(|&i| keys[i] * keys[i]).collect(),
                                 |i| keys[i] * keys[i],
                             );
@@ -668,6 +739,7 @@ mod tests {
         let _ = tier.get_or_compute(1, || 1);
         let _ = tier.get_or_compute_batch(
             vec![2, 3],
+            0,
             |owned| owned.iter().map(|&i| i as u64).collect(),
             |i| i as u64,
         );

@@ -312,17 +312,21 @@ pub fn simulate_staged(
         + cfg.pes_per_core() * cfg.l1_bytes_per_pe()
         + cfg.pes_per_core() * cfg.l2_bytes_per_pe();
 
-    // Price every matrix op through the cache in one batch — misses share
-    // one L1 check and a contiguous costing pass. Results come back in node
-    // order, so taking the first error below reports exactly the op a
-    // per-node walk would have.
-    let mut mapped = mapper.map_batch(&plan.nests, cfg, opts, &plan.nest_names).into_iter();
+    // Price the graph's distinct nests through the cache in one batch —
+    // misses share one L1 check and a contiguous costing pass — and each
+    // matrix op from its nest's slot; the plan's repeated nests count as
+    // hits. Walking the nodes in order, the first failing op names the
+    // error, exactly as a per-node walk would.
+    let mapped = mapper.map_batch(&plan.nests, plan.repeated_nests, cfg, opts);
     let mut nodes = Vec::with_capacity(plan.nodes.len());
     let mut node_spill = vec![0u64; plan.nodes.len()];
     for n in &plan.nodes {
         let (compute_seconds, sa_utilization, spill) = match n.op {
-            PlanOp::Matrix => {
-                let mapping = mapped.next().expect("one batched mapping per matrix op")?;
+            PlanOp::Matrix { nest } => {
+                let mapping = match &mapped[nest] {
+                    Ok(mapping) => mapping,
+                    Err(cause) => return Err(cause.clone().for_op(&n.name)),
+                };
                 (mapping.compute_cycles as f64 / clock_hz, Some(mapping.utilization), 0)
             }
             PlanOp::Vector { kind, in_elements, out_elements, working_set } => {
