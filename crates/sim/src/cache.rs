@@ -12,11 +12,18 @@
 //! Cached failures are stored as name-free [`MapFailure`]s: two ops equal
 //! up to node names and graph position share one entry, and the name of the
 //! op that actually trips the failure is re-attached at lookup time.
+//!
+//! The table has two levels: the array geometry (every [`OpKey`] field but
+//! the nest), then the nest. A simulation prices one graph on one
+//! geometry, so it takes the outer lock once and resolves all its nests
+//! under that geometry's own lock, with the values stored inline.
 
 use crate::engine::SimOptions;
 use crate::error::{MapFailure, SimError};
-use crate::mapper::{map_op, DataflowSet, Mapping, PaddingMode};
+use crate::mapper::{map_ops_batch, DataflowSet, Mapping, PaddingMode};
 use fast_arch::{BufferSharing, DatapathConfig};
+use fast_ir::LoopNest;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,6 +117,61 @@ impl OpKey {
             dataflows,
         }
     }
+
+    /// The key's array geometry and its nest; [`Geometry::key`] joins them
+    /// back. Both build their struct in full, so a new key field does not
+    /// compile until the geometry carries it.
+    fn split(self) -> (Geometry, LoopNest) {
+        let geometry = Geometry {
+            sa_x: self.sa_x,
+            sa_y: self.sa_y,
+            pes_x: self.pes_x,
+            pes_y: self.pes_y,
+            l1_config: self.l1_config,
+            l1_input_kib: self.l1_input_kib,
+            l1_weight_kib: self.l1_weight_kib,
+            l1_output_kib: self.l1_output_kib,
+            padding: self.padding,
+            dataflows: self.dataflows,
+        };
+        (geometry, self.nest)
+    }
+}
+
+/// Every [`OpKey`] field but the nest: the array a nest is mapped on, and
+/// the op tier's outer key. Only ever split off an `OpKey`, so
+/// [`OpKey::of`] stays the one place that classifies the config's fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Geometry {
+    sa_x: u64,
+    sa_y: u64,
+    pes_x: u64,
+    pes_y: u64,
+    l1_config: BufferSharing,
+    l1_input_kib: u64,
+    l1_weight_kib: u64,
+    l1_output_kib: u64,
+    padding: PaddingMode,
+    dataflows: DataflowSet,
+}
+
+impl Geometry {
+    /// The [`OpKey`] of `nest` on this geometry.
+    fn key(self, nest: LoopNest) -> OpKey {
+        OpKey {
+            nest,
+            sa_x: self.sa_x,
+            sa_y: self.sa_y,
+            pes_x: self.pes_x,
+            pes_y: self.pes_y,
+            l1_config: self.l1_config,
+            l1_input_kib: self.l1_input_kib,
+            l1_weight_kib: self.l1_weight_kib,
+            l1_output_kib: self.l1_output_kib,
+            padding: self.padding,
+            dataflows: self.dataflows,
+        }
+    }
 }
 
 /// Hit/miss counters of one memoization tier (monotonic totals).
@@ -150,7 +212,7 @@ impl serde::bin::Decode for CacheStats {
 
 /// rustc's FxHash: each word is folded in with one rotate, xor and
 /// multiply. Fast on the tiers' small fixed-size keys, and seedless; see
-/// [`Tier`] for why a fixed hash is safe there.
+/// [`Tier`] for why a fixed hash is safe there and in [`MapperCache`].
 #[derive(Default)]
 struct FxHasher {
     hash: u64,
@@ -194,12 +256,15 @@ impl Hasher for FxHasher {
     }
 }
 
+/// A hash map on [`FxHasher`].
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// A memoization tier whose values are computed at most once per key:
 /// losers of an insertion race block on the winner's `OnceLock` instead of
 /// recomputing, so hit/miss totals are deterministic (first asker per key
 /// is the one miss) regardless of thread scheduling. The building block of
-/// every stage cache in the evaluation pipeline — the op tier here, the
-/// sim and fuse tiers in `fast-core`.
+/// the sim and fuse tiers in `fast-core`; the op tier is a
+/// [`MapperCache`].
 ///
 /// A persisted tier can also log its first-computed entries
 /// ([`Tier::track_new`]) so an append-only checkpoint writes each entry
@@ -224,7 +289,7 @@ type Cell<V> = Arc<OnceLock<V>>;
 /// What the tier's lock guards: the table, plus the log of first-computed
 /// entries not yet taken (`None` until [`Tier::track_new`]).
 struct Entries<K, V> {
-    map: HashMap<K, Cell<V>, BuildHasherDefault<FxHasher>>,
+    map: FxMap<K, Cell<V>>,
     new: Option<Vec<(K, Cell<V>)>>,
 }
 
@@ -268,59 +333,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Tier<K, V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         cell.get_or_init(compute).clone()
-    }
-
-    /// Batched [`Tier::get_or_compute`]: resolves a whole key list in one
-    /// pass, computing all of this call's first-asked keys together.
-    ///
-    /// `compute_batch` receives the indices (into `keys`) this call owns —
-    /// each distinct uncached key exactly once, at its first occurrence —
-    /// and must return one value per index, in order. `compute_one` is the
-    /// rare fallback for a key whose cell another thread registered but has
-    /// not finished computing (this call then resolves it alone, exactly
-    /// like the sequential path).
-    ///
-    /// Hit/miss accounting is identical to asking the keys one at a time in
-    /// order: the first occurrence of an uncached key is the one miss;
-    /// duplicates and already-cached keys are hits. `repeats` more lookups,
-    /// which the caller answers from this batch's values because they
-    /// repeat one of its keys, count as hits too.
-    pub fn get_or_compute_batch(
-        &self,
-        keys: Vec<K>,
-        repeats: u64,
-        compute_batch: impl FnOnce(&[usize]) -> Vec<V>,
-        mut compute_one: impl FnMut(usize) -> V,
-    ) -> Vec<V> {
-        let mut cells: Vec<Arc<OnceLock<V>>> = Vec::with_capacity(keys.len());
-        let mut owned: Vec<usize> = Vec::new();
-        self.hits.fetch_add(repeats, Ordering::Relaxed);
-        {
-            let mut entries = self.entries.lock().expect("cache tier poisoned");
-            for (i, key) in keys.into_iter().enumerate() {
-                let (cell, winner) = entries.cell(key);
-                if winner {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    owned.push(i);
-                } else {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                cells.push(cell);
-            }
-        }
-        if !owned.is_empty() {
-            let values = compute_batch(&owned);
-            debug_assert_eq!(values.len(), owned.len(), "one value per owned index");
-            for (&i, v) in owned.iter().zip(values) {
-                // The cell was created by this call; nobody else sets it.
-                let _ = cells[i].set(v);
-            }
-        }
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| cell.get_or_init(|| compute_one(i)).clone())
-            .collect()
     }
 
     /// Hit/miss totals since this tier was created.
@@ -400,15 +412,37 @@ impl<K: Eq + Hash + Clone, V: Clone> Tier<K, V> {
     }
 }
 
-/// The shared per-op mapper cache (Stage A): a [`Tier`] over [`OpKey`].
+/// A mapper result as the op tier stores it: name-free.
+type Mapped = Result<Mapping, MapFailure>;
+
+/// One array geometry's mapper results, by nest, stored inline.
+type GeometryTable = Mutex<FxMap<LoopNest, Mapped>>;
+
+/// The shared per-op mapper cache (Stage A): mapper results by array
+/// geometry, then by nest.
 ///
 /// Thread-safe and clone-cheap behind an `Arc`: every evaluator clone and
 /// every worker thread of a parallel study feeds one memoization table.
 /// Failures are cached alongside successes — an unmappable nest is
 /// unmappable forever on the same array/L1 geometry.
+///
+/// A lookup holds the outer lock only to find its geometry's table, then
+/// prices its misses under that table's lock. So lookups on different
+/// geometries run at the same time, and a concurrent asker of a key that
+/// is being priced waits and adopts the value: each key is computed once,
+/// and hit/miss totals do not depend on thread scheduling. Lock order is
+/// outer table, geometry table, new-entry log, and the outer lock is
+/// released before a geometry lock is taken. Tables hash with
+/// `FxHasher`, for the reasons given on [`Tier`]. An empty cache allocates
+/// nothing.
 #[derive(Default)]
 pub struct MapperCache {
-    tier: Tier<OpKey, Result<Mapping, MapFailure>>,
+    geometries: Mutex<FxMap<Geometry, Arc<GeometryTable>>>,
+    /// Entries inserted since the last [`MapperCache::take_new`]; `None`
+    /// until [`MapperCache::track_new`].
+    new: Mutex<Option<Vec<(OpKey, Mapped)>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl MapperCache {
@@ -421,93 +455,150 @@ impl MapperCache {
     /// Memoized [`crate::map_matrix_op`]: answers from the cache when the
     /// exact [`OpKey`] has been mapped before — for any op name, in any
     /// workload, by any thread — and otherwise runs the mapper and records
-    /// the outcome.
+    /// the outcome. A one-nest [`MapperCache::map_batch`].
     ///
     /// # Errors
     /// Returns the (possibly cached) [`MapFailure`] with `op`'s name
     /// attached.
     pub fn map(
         &self,
-        nest: &fast_ir::LoopNest,
+        nest: &LoopNest,
         cfg: &DatapathConfig,
         opts: &SimOptions,
         op: &str,
     ) -> Result<Mapping, SimError> {
-        let key = OpKey::of(nest, cfg, opts);
-        self.tier
-            .get_or_compute(key, || map_op(nest, cfg, opts.padding, opts.dataflows))
-            .map_err(|cause| cause.for_op(op))
+        let mut mapped = self.map_batch(std::slice::from_ref(nest), 0, cfg, opts);
+        mapped.pop().expect("one result per nest").map_err(|cause| cause.for_op(op))
     }
 
     /// Batched [`MapperCache::map`] over a workload's distinct loop nests
     /// ([`fast_ir::SimPlan::nests`]): answers hits from the cache and prices
     /// all misses together through the batched mapper (`map_ops_batch`) —
     /// one L1 precondition check and a contiguous costing pass instead of
-    /// per-op dispatch. Failures come back name-free; the caller attaches
-    /// the name of the op that asks ([`MapFailure::for_op`]).
+    /// per-op dispatch — under the geometry's lock. Failures come back
+    /// name-free; the caller attaches the name of the op that asks
+    /// ([`MapFailure::for_op`]).
     ///
-    /// `repeats` counts the workload's other matrix ops, whose nests repeat
-    /// one of `nests` and which the caller prices from these results. They
-    /// count as hits, so the totals equal a [`MapperCache::map`] per matrix
-    /// op in node order.
+    /// Hit/miss accounting equals asking the nests one at a time in order:
+    /// the first occurrence of an uncached nest is the one miss; duplicates
+    /// and cached nests are hits. `repeats` counts the workload's other
+    /// matrix ops, whose nests repeat one of `nests` and which the caller
+    /// prices from these results. They count as hits, so the totals equal a
+    /// [`MapperCache::map`] per matrix op in node order.
     pub fn map_batch(
         &self,
-        nests: &[fast_ir::LoopNest],
+        nests: &[LoopNest],
         repeats: u64,
         cfg: &DatapathConfig,
         opts: &SimOptions,
-    ) -> Vec<Result<Mapping, MapFailure>> {
-        let keys: Vec<OpKey> = nests.iter().map(|n| OpKey::of(n, cfg, opts)).collect();
-        self.tier.get_or_compute_batch(
-            keys,
-            repeats,
-            |owned| {
-                let miss_nests: Vec<fast_ir::LoopNest> = owned.iter().map(|&i| nests[i]).collect();
-                crate::mapper::map_ops_batch(&miss_nests, cfg, opts.padding, opts.dataflows)
-            },
-            |i| map_op(&nests[i], cfg, opts.padding, opts.dataflows),
-        )
+    ) -> Vec<Mapped> {
+        self.hits.fetch_add(repeats, Ordering::Relaxed);
+        let Some(first) = nests.first() else { return Vec::new() };
+        let (geometry, _) = OpKey::of(first, cfg, opts).split();
+        let table = self.table(geometry);
+        let mut table = table.lock().expect("op tier poisoned");
+        let mut mapped: Vec<Option<Mapped>> = nests.iter().map(|n| table.get(n).cloned()).collect();
+        let missed: Vec<usize> = (0..nests.len()).filter(|&i| mapped[i].is_none()).collect();
+        let mut misses = 0;
+        if !missed.is_empty() {
+            let miss_nests: Vec<LoopNest> = missed.iter().map(|&i| nests[i]).collect();
+            let values = map_ops_batch(&miss_nests, cfg, opts.padding, opts.dataflows);
+            table.reserve(missed.len());
+            let mut log = self.new.lock().expect("op tier poisoned");
+            for (&i, value) in missed.iter().zip(values) {
+                // A nest listed twice is priced twice but stored once: its
+                // first occurrence is the miss.
+                if let Entry::Vacant(slot) = table.entry(nests[i]) {
+                    misses += 1;
+                    if let Some(log) = log.as_mut() {
+                        log.push((geometry.key(nests[i]), value.clone()));
+                    }
+                    slot.insert(value.clone());
+                }
+                mapped[i] = Some(value);
+            }
+        }
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        self.hits.fetch_add(nests.len() as u64 - misses, Ordering::Relaxed);
+        mapped.into_iter().map(|m| m.expect("every nest is resolved")).collect()
+    }
+
+    /// The table of `geometry`, created empty on first use.
+    fn table(&self, geometry: Geometry) -> Arc<GeometryTable> {
+        Arc::clone(self.geometries.lock().expect("op tier poisoned").entry(geometry).or_default())
+    }
+
+    /// Every geometry's table, taken out of the outer lock.
+    fn tables(&self) -> Vec<(Geometry, Arc<GeometryTable>)> {
+        let geometries = self.geometries.lock().expect("op tier poisoned");
+        geometries.iter().map(|(g, t)| (*g, Arc::clone(t))).collect()
     }
 
     /// Hit/miss totals since this cache was created.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        self.tier.stats()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
     }
 
     /// Number of memoized mapper results.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tier.len()
+        self.tables().iter().map(|(_, t)| t.lock().expect("op tier poisoned").len()).sum()
     }
 
     /// Whether the cache is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.tier.is_empty()
+        self.len() == 0
     }
 
-    /// A snapshot of every entry, for persistence layers.
+    /// A snapshot of every entry, for persistence layers, in no particular
+    /// order.
     #[must_use]
-    pub fn export(&self) -> Vec<(OpKey, Result<Mapping, MapFailure>)> {
-        self.tier.export()
+    pub fn export(&self) -> Vec<(OpKey, Mapped)> {
+        let mut entries = Vec::new();
+        for (geometry, table) in self.tables() {
+            let table = table.lock().expect("op tier poisoned");
+            entries.extend(table.iter().map(|(nest, m)| (geometry.key(*nest), m.clone())));
+        }
+        entries
     }
 
     /// Merges entries (e.g. from a loaded snapshot) into the cache.
-    /// Existing in-memory entries win over merged ones.
-    pub fn merge(&self, entries: impl IntoIterator<Item = (OpKey, Result<Mapping, MapFailure>)>) {
-        self.tier.merge(entries);
+    /// Existing in-memory entries win over merged ones. Merged entries are
+    /// already persisted somewhere, so they never join the new-entry log.
+    pub fn merge(&self, entries: impl IntoIterator<Item = (OpKey, Mapped)>) {
+        let mut by_geometry: FxMap<Geometry, Vec<(LoopNest, Mapped)>> = FxMap::default();
+        for (key, m) in entries {
+            let (geometry, nest) = key.split();
+            by_geometry.entry(geometry).or_default().push((nest, m));
+        }
+        for (geometry, entries) in by_geometry {
+            let table = self.table(geometry);
+            let mut table = table.lock().expect("op tier poisoned");
+            for (nest, m) in entries {
+                table.entry(nest).or_insert(m);
+            }
+        }
     }
 
-    /// Turns on the new-entry log ([`Tier::track_new`]).
+    /// Turns on the new-entry log: from now on every entry this cache
+    /// computes is logged until a [`MapperCache::take_new`] returns it.
+    /// Idempotent. Off by default, so a cache nobody checkpoints keeps no
+    /// log.
     pub fn track_new(&self) {
-        self.tier.track_new();
+        self.new.lock().expect("op tier poisoned").get_or_insert_with(Vec::new);
     }
 
-    /// Mapper results first computed since the last call ([`Tier::take_new`]).
+    /// Drains the new-entry log: every mapper result computed since the
+    /// previous call (or since [`MapperCache::track_new`]) comes out of
+    /// exactly one call. Empty when the log is off.
     #[must_use]
-    pub fn take_new(&self) -> Vec<(OpKey, Result<Mapping, MapFailure>)> {
-        self.tier.take_new()
+    pub fn take_new(&self) -> Vec<(OpKey, Mapped)> {
+        self.new.lock().expect("op tier poisoned").as_mut().map(std::mem::take).unwrap_or_default()
     }
 }
 
@@ -517,6 +608,7 @@ mod tests {
     use fast_arch::presets;
     use fast_ir::LoopNest;
     use proptest::prelude::*;
+    use serde::bin::Encode;
 
     fn nest(b: u64, hw: u64, if_: u64, of: u64) -> LoopNest {
         LoopNest {
@@ -671,24 +763,12 @@ mod tests {
                 }
                 got
             });
-            // Four askers over overlapping key ranges, half through the
-            // batched path.
+            // Four askers over overlapping key ranges.
             let askers: Vec<_> = (0..4u64)
                 .map(|t| {
                     s.spawn(move || {
-                        let keys: Vec<u64> = (t * 50..t * 50 + 100).collect();
-                        if t % 2 == 0 {
-                            for &k in &keys {
-                                assert_eq!(tier.get_or_compute(k, || k * k), k * k);
-                            }
-                        } else {
-                            let got = tier.get_or_compute_batch(
-                                keys.clone(),
-                                0,
-                                |owned| owned.iter().map(|&i| keys[i] * keys[i]).collect(),
-                                |i| keys[i] * keys[i],
-                            );
-                            assert!(got.iter().zip(&keys).all(|(v, k)| *v == k * k));
+                        for k in t * 50..t * 50 + 100 {
+                            assert_eq!(tier.get_or_compute(k, || k * k), k * k);
                         }
                     })
                 })
@@ -737,12 +817,6 @@ mod tests {
     fn a_tier_whose_log_was_never_turned_on_records_nothing() {
         let tier: Tier<u64, u64> = Tier::default();
         let _ = tier.get_or_compute(1, || 1);
-        let _ = tier.get_or_compute_batch(
-            vec![2, 3],
-            0,
-            |owned| owned.iter().map(|&i| i as u64).collect(),
-            |i| i as u64,
-        );
         assert!(tier.take_new().is_empty());
         tier.track_new();
         assert!(tier.take_new().is_empty(), "turning the log on does not backfill it");
@@ -750,6 +824,144 @@ mod tests {
         assert!(tier.take_new().is_empty(), "merged entries are persisted already");
         assert_eq!(tier.get_or_compute(4, || 16), 16);
         assert_eq!(tier.take_new(), vec![(4, 16)]);
+    }
+
+    #[test]
+    fn an_op_tier_whose_log_was_never_turned_on_records_nothing() {
+        let cfg = presets::fast_large();
+        let opts = SimOptions::default();
+        let (a, b, c) = (nest(8, 28, 256, 256), nest(8, 14, 512, 512), nest(4, 14, 512, 128));
+        let cache = MapperCache::new();
+        let _ = cache.map_batch(&[a, b], 0, &cfg, &opts);
+        assert!(cache.take_new().is_empty());
+        cache.track_new();
+        assert!(cache.take_new().is_empty(), "turning the log on does not backfill it");
+        let mut roomy = cfg;
+        roomy.l1_weight_kib *= 2;
+        cache.merge([(
+            OpKey::of(&a, &roomy, &opts),
+            Err(MapFailure::OutputTileDoesNotFit { required: 1, available: 0 }),
+        )]);
+        assert!(cache.take_new().is_empty(), "merged entries are persisted already");
+        let got = cache.map_batch(&[a, c, b], 0, &cfg, &opts);
+        assert_eq!(cache.take_new(), vec![(OpKey::of(&c, &cfg, &opts), got[1].clone())]);
+        assert!(cache.take_new().is_empty());
+    }
+
+    /// Two geometries: FAST-Large with padding, and TPU-v3 without, where
+    /// nests that do not factorize onto the array fail.
+    fn two_geometries() -> [(DatapathConfig, SimOptions); 2] {
+        let exact = SimOptions { padding: PaddingMode::Exact, ..SimOptions::default() };
+        [(presets::fast_large(), SimOptions::default()), (presets::tpu_v3(), exact)]
+    }
+
+    /// 25 distinct nests; on TPU-v3 without padding some of them fail.
+    fn nest_pool() -> Vec<LoopNest> {
+        (0..25u64)
+            .map(|i| nest(1 + i % 4, 7 + i, 128 * (1 + i % 3) + 32 * (i % 2), 96 + 8 * i))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_batches_compute_each_geometry_and_nest_once() {
+        let geometries = two_geometries();
+        let pool = nest_pool();
+        let cache = MapperCache::new();
+        cache.track_new();
+        let (cache, geometries, pool) = (&cache, &geometries, &pool);
+        let start = std::sync::Barrier::new(4);
+        let asking = std::sync::atomic::AtomicBool::new(true);
+        let (lookups, drained) = std::thread::scope(|s| {
+            let (start, asking) = (&start, &asking);
+            let drainer = s.spawn(move || {
+                let mut got = Vec::new();
+                while asking.load(Ordering::Acquire) {
+                    got.extend(cache.take_new());
+                    std::thread::yield_now();
+                }
+                got
+            });
+            // Four askers over overlapping windows of the pool, each under
+            // both geometries in its own order, listing one nest twice and
+            // answering `t` more repeats.
+            let askers: Vec<_> = (0..4usize)
+                .map(|t| {
+                    s.spawn(move || {
+                        let mut window = pool[t * 5..t * 5 + 10].to_vec();
+                        window.push(window[t]);
+                        start.wait();
+                        for g in [t % 2, 1 - t % 2] {
+                            let (cfg, opts) = &geometries[g];
+                            let got = cache.map_batch(&window, t as u64, cfg, opts);
+                            for (n, m) in window.iter().zip(got) {
+                                let want =
+                                    crate::map_matrix_op(n, cfg, opts.padding, opts.dataflows, "x");
+                                assert_eq!(m.map_err(|cause| cause.for_op("x")), want);
+                            }
+                        }
+                        2 * (window.len() as u64 + t as u64)
+                    })
+                })
+                .collect();
+            let lookups: u64 = askers.into_iter().map(|a| a.join().unwrap()).sum();
+            asking.store(false, Ordering::Release);
+            let mut drained = drainer.join().unwrap();
+            drained.extend(cache.take_new());
+            (lookups, drained)
+        });
+
+        // The windows cover pool[0..25]: 25 nests under each geometry.
+        let distinct = 2 * pool.len() as u64;
+        let stats = cache.stats();
+        assert_eq!(stats.misses, distinct, "one miss per (geometry, nest)");
+        assert_eq!(stats.hits, lookups - distinct);
+        assert_eq!(cache.len() as u64, distinct);
+        let mut keys: Vec<Vec<u8>> = drained.iter().map(|(k, _)| k.to_bytes()).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), drained.len(), "each key drained exactly once");
+        assert_eq!(keys.len() as u64, distinct);
+        for (key, m) in &drained {
+            let (cfg, opts) =
+                geometries.iter().find(|(c, o)| OpKey::of(&key.nest, c, o) == *key).unwrap();
+            assert_eq!(m, &map_ops_batch(&[key.nest], cfg, opts.padding, opts.dataflows)[0]);
+        }
+        assert!(drained.iter().any(|(_, m)| m.is_err()), "failures are cached too");
+    }
+
+    #[test]
+    fn export_then_merge_round_trips_across_geometries() {
+        let pool = nest_pool();
+        let mut small_l1 = presets::fast_small();
+        small_l1.l1_input_kib = 1;
+        let mut configs: Vec<(DatapathConfig, SimOptions)> = two_geometries().to_vec();
+        configs.push((presets::fast_small(), SimOptions::default()));
+        configs.push((small_l1, SimOptions::default()));
+        let cache = MapperCache::new();
+        for (i, (cfg, opts)) in configs.iter().enumerate() {
+            let _ = cache.map_batch(&pool[i..i + 12], 0, cfg, opts);
+        }
+        let exported = cache.export();
+        assert_eq!(exported.len(), 4 * 12);
+
+        let merged = MapperCache::new();
+        merged.track_new();
+        merged.merge(exported.clone());
+        assert_eq!(merged.len(), cache.len());
+        assert!(merged.take_new().is_empty(), "merged entries never join the log");
+        let sorted = |mut entries: Vec<(OpKey, Mapped)>| {
+            entries.sort_by_key(|(k, _)| k.to_bytes());
+            entries
+        };
+        assert_eq!(sorted(merged.export()), sorted(exported));
+        // Every merged entry answers as a hit, with the original value.
+        for (i, (cfg, opts)) in configs.iter().enumerate() {
+            assert_eq!(
+                merged.map_batch(&pool[i..i + 12], 0, cfg, opts),
+                cache.map_batch(&pool[i..i + 12], 0, cfg, opts)
+            );
+        }
+        assert_eq!(merged.stats(), CacheStats { hits: 4 * 12, misses: 0 });
     }
 
     /// Strategy over arbitrary-ish loop nests (power-of-two-free on purpose:

@@ -18,7 +18,10 @@
 //! [`MapperCache`] memoizes mapper results under [`OpKey`] — the loop nest
 //! plus exactly the config/option fields the mapper reads — so identical
 //! shapes across workloads, batch sizes and neighboring search points map
-//! once ([`simulate_staged`]).
+//! once ([`simulate_staged`]). The cache keys by array geometry first and
+//! nest second, so a simulation resolves all its nests under one
+//! geometry's lock. [`Tier`] is the building block of the later stages'
+//! caches.
 //!
 //! ```
 //! use fast_sim::{simulate_staged, MapperCache, SimOptions};
