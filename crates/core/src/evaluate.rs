@@ -15,13 +15,16 @@
 //!   and neighboring search points map once; GM/clock/DRAM/L2/fusion sweeps
 //!   re-map nothing.
 //! * **Stage B (sim tier)** — per-workload perf assembly, memoized in
-//!   memory per `(workload, datapath, schedule)` as slim region statistics
-//!   plus summary scalars (no per-node detail). Schedule failures live
-//!   here too.
-//! * **Stage C (fuse tier)** — fusion results keyed by a
-//!   [`fast_fusion::StatsFingerprint`] of the region stats + the
-//!   Global-Memory capacity + the [`FusionOptions`]. Sweeping fusion
-//!   options or objectives re-solves at most the ILP, never the mapper.
+//!   memory per `(workload, datapath, schedule)` as summary scalars, the
+//!   Stage-C fingerprint and per region its compute seconds and spill
+//!   bytes — no region records and no per-node detail. Schedule failures
+//!   live here too.
+//! * **Stage C (fuse tier)** — the three numbers scoring reads
+//!   ([`FusionTotals`]), keyed by a [`fast_fusion::StatsFingerprint`] of
+//!   the region records + the Global-Memory capacity + the
+//!   [`FusionOptions`]. A miss solves the records its sim miss priced, or
+//!   records rebuilt from the graph's plan. Sweeping fusion options or
+//!   objectives re-solves at most the ILP, never the mapper.
 //!
 //! The op and fuse tiers persist to disk ([`Evaluator::save_eval_cache`]);
 //! the sim tier is cheap to rebuild from a warm op tier and stays in
@@ -31,13 +34,14 @@
 use crate::search_space::FastSpace;
 use fast_arch::{cost, Budget, DatapathConfig};
 use fast_fusion::{
-    fuse_workload, FusionOptions, FusionResult, Placement, StatsFingerprint, StructureKey,
-    WarmStartTier,
+    fuse_workload, FusionOptions, FusionResult, FusionTotals, Placement, StatsFingerprint,
+    StructureKey, WarmStartTier,
 };
+use fast_ir::{Graph, SimPlan};
 use fast_models::Workload;
 use fast_sim::{
-    simulate_staged, MapFailure, MapperCache, Mapping, OpKey, RegionPerf, SimError, SimOptions,
-    Tier, WorkloadPerf,
+    simulate_regions, simulate_staged, MapFailure, MapperCache, Mapping, OpKey, RegionPerf,
+    RegionsPerf, SimError, SimOptions, Tier, WorkloadPerf,
 };
 use serde::bin::{self, Decode, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
@@ -244,14 +248,14 @@ impl Decode for FuseKey {
     }
 }
 
-/// The slim Stage-B product: exactly what Stage C and the final
-/// [`WorkloadEval`] assembly read — region statistics plus summary scalars,
-/// no per-node detail (use [`Evaluator::simulate_workload`] for that).
+/// The slim Stage-B product the sim tier keeps: the summary scalars the
+/// final [`WorkloadEval`] assembly reads, the Stage-C fingerprint, and per
+/// region the two values that the graph's plan and the config do not
+/// determine — its compute seconds and its spill bytes. No region record
+/// is kept (a fuse-tier miss rebuilds them, [`SimStats::regions`]) and no
+/// per-node detail (use [`Evaluator::simulate_workload`] for that).
 #[derive(Debug)]
 struct SimStats {
-    /// Workload display name (labels the ILP problem; never keys anything).
-    workload: String,
-    regions: Vec<RegionPerf>,
     compute_seconds: f64,
     prefusion_seconds: f64,
     batch_per_core: u64,
@@ -260,16 +264,15 @@ struct SimStats {
     peak_flops_per_core: f64,
     total_flops: u64,
     prefusion_dram_bytes: u64,
-    /// Precomputed Stage-C fingerprint of `(regions, compute_seconds)`.
+    /// Stage-C fingerprint of the region records and `compute_seconds`.
     fingerprint: StatsFingerprint,
+    /// Per region in execution order: compute seconds and spill bytes.
+    residues: Box<[(f64, u64)]>,
 }
 
 impl SimStats {
-    fn from_perf(perf: WorkloadPerf) -> SimStats {
-        let fingerprint = fast_fusion::stats_fingerprint(&perf.regions, perf.compute_seconds);
+    fn of(perf: &RegionsPerf) -> SimStats {
         SimStats {
-            workload: perf.workload,
-            regions: perf.regions,
             compute_seconds: perf.compute_seconds,
             prefusion_seconds: perf.prefusion_seconds,
             batch_per_core: perf.batch_per_core,
@@ -278,49 +281,31 @@ impl SimStats {
             peak_flops_per_core: perf.peak_flops_per_core,
             total_flops: perf.total_flops,
             prefusion_dram_bytes: perf.prefusion_dram_bytes,
-            fingerprint,
+            fingerprint: fast_fusion::stats_fingerprint(&perf.regions, perf.compute_seconds),
+            residues: perf.regions.iter().map(|r| (r.compute_seconds, r.spill_bytes)).collect(),
         }
     }
-}
 
-/// The Stage-C product persisted in the fuse tier: the fusion outputs the
-/// final summary needs. Everything else in [`WorkloadEval`] derives from
-/// the (in-hand) [`SimStats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FusedSummary {
-    total_seconds: f64,
-    pinned_weight_bytes: u64,
-    dram_bytes: u64,
-}
-
-impl FusedSummary {
-    fn of(fused: &FusionResult) -> FusedSummary {
-        FusedSummary {
-            total_seconds: fused.total_seconds,
-            pinned_weight_bytes: fused.pinned_weight_bytes,
-            dram_bytes: fused.dram_bytes,
-        }
+    /// The region records these stats were priced from, rebuilt from the
+    /// graph's `plan` on `cfg` through [`RegionPerf::priced`], the builder
+    /// Stage B itself uses — so they equal the priced records bit for bit.
+    /// `cfg` must be the config of the sim-tier key, which holds all of it.
+    fn regions(&self, plan: &SimPlan, cfg: &DatapathConfig) -> Vec<RegionPerf> {
+        let bw = cfg.dram_bytes_per_sec_per_core();
+        let gm = cfg.global_memory_bytes();
+        plan.regions
+            .iter()
+            .zip(&self.residues)
+            .map(|(r, &(compute_seconds, spill_bytes))| {
+                RegionPerf::priced(r, bw, gm, compute_seconds, spill_bytes)
+            })
+            .collect()
     }
 }
 
-impl Encode for FusedSummary {
-    fn encode(&self, w: &mut Writer) {
-        let FusedSummary { total_seconds, pinned_weight_bytes, dram_bytes } = *self;
-        total_seconds.encode(w);
-        pinned_weight_bytes.encode(w);
-        dram_bytes.encode(w);
-    }
-}
-
-impl Decode for FusedSummary {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, bin::DecodeError> {
-        Ok(FusedSummary {
-            total_seconds: Decode::decode(r)?,
-            pinned_weight_bytes: Decode::decode(r)?,
-            dram_bytes: Decode::decode(r)?,
-        })
-    }
-}
+/// The region records a sim-tier miss priced, with their graph, handed on
+/// to the fuse tier so a miss there does not rebuild them.
+type Priced = (Arc<Graph>, Vec<RegionPerf>);
 
 pub use fast_fusion::SolverStats;
 pub use fast_sim::CacheStats;
@@ -429,7 +414,7 @@ pub struct Evaluator {
     graphs: Arc<GraphCache>,
     mapper: Arc<MapperCache>,
     sims: Arc<Tier<SimTierKey, Result<Arc<SimStats>, SimError>>>,
-    fuses: Arc<Tier<FuseKey, FusedSummary>>,
+    fuses: Arc<Tier<FuseKey, FusionTotals>>,
     /// Cross-point warm-start incumbents for the exact fusion solver.
     /// Strictly a performance hint — fusion answers are bit-identical with
     /// or without it — shared across clones like the tiers above.
@@ -569,7 +554,7 @@ impl Evaluator {
     /// checks — used by report/breakdown code as well as equivalence tests.
     /// Op scheduling is answered from the shared Stage-A mapper cache; the
     /// full per-node [`WorkloadPerf`] is recomputed per call (the sim tier
-    /// stores only the slim region stats).
+    /// stores only summary scalars and two values per region).
     ///
     /// # Errors
     /// Propagates schedule failures.
@@ -620,38 +605,57 @@ impl Evaluator {
     /// been assembled before — by any clone, on any thread — and otherwise
     /// simulates through the shared op-tier mapper cache and records the
     /// outcome (schedule failures included; they are deterministic too).
+    /// A miss also returns the region records it priced, which the sim
+    /// tier does not keep.
     fn sim_stats(
         &self,
         w: Workload,
         cfg: &DatapathConfig,
         sim: &SimOptions,
-    ) -> Result<Arc<SimStats>, SimError> {
+    ) -> Result<(Arc<SimStats>, Option<Priced>), SimError> {
         let key = SimTierKey { workload: w, config: *cfg, sim: *sim };
-        self.sims.get_or_compute(key, || {
+        let mut priced = None;
+        let stats = self.sims.get_or_compute(key, || {
             let graph = self.graph(w, cfg.native_batch);
-            simulate_staged(&graph, cfg, sim, &self.mapper)
-                .map(|perf| Arc::new(SimStats::from_perf(perf)))
-        })
+            let perf = simulate_regions(&graph, cfg, sim, &self.mapper)?;
+            let stats = Arc::new(SimStats::of(&perf));
+            priced = Some((graph, perf.regions));
+            Ok(stats)
+        })?;
+        Ok((stats, priced))
     }
 
-    /// Stage C: the memoized fusion solve for one assembled workload. Fuse
-    /// misses solve through the cross-point warm-start tier, which seeds
-    /// the exact solver with a neighboring point's incumbent — results stay
-    /// bit-identical (see [`fast_fusion::fuse_regions_warm`]); only node
-    /// counts shrink.
-    fn fused_summary(&self, stats: &SimStats, cfg: &DatapathConfig) -> FusedSummary {
+    /// Stage C: the memoized fusion solve for one assembled workload. A
+    /// fuse miss solves the region records `priced` on the sim miss, or,
+    /// after a sim hit (only a change of fusion options leads there),
+    /// records rebuilt from the graph's plan without consulting the op
+    /// tier. Misses solve through the cross-point warm-start tier, which
+    /// seeds the exact solver with a neighboring point's incumbent —
+    /// results stay bit-identical (see [`fast_fusion::fuse_regions_warm`]);
+    /// only node counts shrink.
+    fn fused_totals(
+        &self,
+        w: Workload,
+        stats: &SimStats,
+        priced: Option<Priced>,
+        cfg: &DatapathConfig,
+    ) -> FusionTotals {
         let gm_bytes = cfg.global_memory_bytes();
         let key = FuseKey { stats: stats.fingerprint, gm_bytes, fusion: self.fusion.clone() };
         self.fuses.get_or_compute(key, || {
-            let fused = fast_fusion::fuse_regions_warm(
-                &stats.regions,
+            let (graph, regions) = priced.unwrap_or_else(|| {
+                let graph = self.graph(w, cfg.native_batch);
+                let regions = stats.regions(graph.sim_plan(), cfg);
+                (graph, regions)
+            });
+            fast_fusion::fuse_regions_totals(
+                &regions,
                 stats.compute_seconds,
                 gm_bytes,
                 &self.fusion,
-                &stats.workload,
+                graph.name(),
                 Some(&self.warm),
-            );
-            FusedSummary::of(&fused)
+            )
         })
     }
 
@@ -666,8 +670,8 @@ impl Evaluator {
         if !self.staged {
             return self.compute_workload_eval(w, cfg, sim);
         }
-        let stats = self.sim_stats(w, cfg, sim).map_err(EvalError::ScheduleFailure)?;
-        let fused = self.fused_summary(&stats, cfg);
+        let (stats, priced) = self.sim_stats(w, cfg, sim).map_err(EvalError::ScheduleFailure)?;
+        let fused = self.fused_totals(w, &stats, priced, cfg);
         let step = fused.total_seconds;
         let qps = (stats.batch_per_core * stats.cores) as f64 / step;
         Ok(WorkloadEval {
@@ -860,7 +864,7 @@ impl Evaluator {
             OP_VERSION,
             "op",
         );
-        seal_tier::<FuseKey, FusedSummary>(path, FUSE_MAGIC, FUSE_VERSION, "fuse");
+        seal_tier::<FuseKey, FusionTotals>(path, FUSE_MAGIC, FUSE_VERSION, "fuse");
         seal_tier::<StructureKey, Vec<Placement>>(
             &Self::warm_tier_path(path),
             WARM_MAGIC,
@@ -896,7 +900,7 @@ impl Evaluator {
             read_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, "op", repair, &mut warnings);
         let op_loaded = op_entries.len();
         self.mapper.merge(op_entries);
-        let fuse_entries: Vec<(FuseKey, FusedSummary)> =
+        let fuse_entries: Vec<(FuseKey, FusionTotals)> =
             read_tier(path, FUSE_MAGIC, FUSE_VERSION, "fuse", repair, &mut warnings);
         let fuse_loaded = fuse_entries.len();
         self.fuses.merge(fuse_entries);
@@ -1465,6 +1469,85 @@ mod tests {
         assert_eq!(after_second.op, after_first.op, "fusion sweeps must never re-map");
     }
 
+    /// Every field of a region record, floats as their bits.
+    type RegionBits = (usize, String, Option<u32>, [u64; 15], Option<usize>, bool);
+
+    fn region_bits(r: &RegionPerf) -> RegionBits {
+        let RegionPerf {
+            region,
+            name,
+            group,
+            compute_seconds,
+            flops,
+            in_bytes,
+            primary_in_bytes,
+            out_bytes,
+            weight_bytes,
+            weight_store_bytes,
+            spill_bytes,
+            t_min,
+            t_max,
+            t_in,
+            t_fixed,
+            t_out,
+            t_weight,
+            resident_buffer_bytes,
+            primary_input,
+            row_streamable,
+        } = r;
+        let words = [
+            compute_seconds.to_bits(),
+            *flops,
+            *in_bytes,
+            *primary_in_bytes,
+            *out_bytes,
+            *weight_bytes,
+            *weight_store_bytes,
+            *spill_bytes,
+            t_min.to_bits(),
+            t_max.to_bits(),
+            t_in.to_bits(),
+            t_fixed.to_bits(),
+            t_out.to_bits(),
+            t_weight.to_bits(),
+            *resident_buffer_bytes,
+        ];
+        (region.index(), name.to_string(), *group, words, *primary_input, *row_streamable)
+    }
+
+    /// The sim tier keeps per region only its compute seconds and spill
+    /// bytes. For every zoo workload on each preset, the fingerprint it
+    /// stores is the one of `simulate_staged`'s records, and both the
+    /// records its miss priced and the ones rebuilt from the kept values
+    /// equal `simulate_staged`'s field for field, floats by their bits.
+    #[test]
+    fn sim_tier_fingerprints_and_rebuilds_the_simulated_regions() {
+        let mut zoo = Workload::suite();
+        zoo.extend(Workload::serving_suite());
+        let e = evaluator(Objective::Qps);
+        let sim = SimOptions::default();
+        for cfg in [presets::tpu_v3(), presets::fast_large(), presets::fast_small()] {
+            for &w in &zoo {
+                let perf = e.simulate_workload(w, &cfg, &sim).unwrap();
+                let want: Vec<RegionBits> = perf.regions.iter().map(region_bits).collect();
+                let (stats, priced) = e.sim_stats(w, &cfg, &sim).unwrap();
+                let (graph, priced) = priced.expect("the first ask misses the sim tier");
+                assert_eq!(
+                    stats.fingerprint,
+                    fast_fusion::stats_fingerprint(&perf.regions, perf.compute_seconds),
+                    "{w}"
+                );
+                let rebuilt = stats.regions(graph.sim_plan(), &cfg);
+                for regions in [priced, rebuilt] {
+                    let got: Vec<RegionBits> = regions.iter().map(region_bits).collect();
+                    assert_eq!(got, want, "{w}");
+                }
+                let (_, again) = e.sim_stats(w, &cfg, &sim).unwrap();
+                assert!(again.is_none(), "a sim-tier hit prices nothing");
+            }
+        }
+    }
+
     #[test]
     fn op_tier_is_shared_across_workloads_and_batches() {
         // B0 and B1 (and different batches of each) share conv shapes: the
@@ -1672,7 +1755,7 @@ mod tests {
         let bytes = std::fs::read(&current).unwrap();
         let payload = bin::read_envelope(FUSE_MAGIC, FUSE_VERSION, &bytes).unwrap();
         assert!(
-            read_tier_strict::<FuseKey, FusedSummary>(&current, FUSE_MAGIC, FUSE_VERSION, "fuse")
+            read_tier_strict::<FuseKey, FusionTotals>(&current, FUSE_MAGIC, FUSE_VERSION, "fuse")
                 .is_ok_and(|entries| !entries.is_empty()),
             "the payload carried over to the version-2 file decodes"
         );
@@ -1916,7 +1999,7 @@ mod tests {
         let warning = report.warning.unwrap();
         assert!(warning.contains("torn final segment") && warning.contains("sealed-cut.bin"));
         assert!(matches!(
-            read_tier_strict::<FuseKey, FusedSummary>(&cut, FUSE_MAGIC, FUSE_VERSION, "fuse"),
+            read_tier_strict::<FuseKey, FusionTotals>(&cut, FUSE_MAGIC, FUSE_VERSION, "fuse"),
             Err(TierReadError::Damaged(what)) if what.contains("torn")
         ));
 

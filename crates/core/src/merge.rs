@@ -250,7 +250,7 @@ pub fn merge_eval_caches(inputs: &[PathBuf], output: &Path) -> Result<CacheMerge
     )?;
     let (fuse_entries, fuse_duplicates) = merge_tier::<
         crate::evaluate::FuseKey,
-        crate::evaluate::FusedSummary,
+        fast_fusion::FusionTotals,
     >(inputs, output, FUSE_MAGIC, FUSE_VERSION, "fuse")?;
     Ok(CacheMergeStats { op_entries, fuse_entries, op_duplicates, fuse_duplicates })
 }

@@ -322,6 +322,72 @@ impl FusionResult {
     }
 }
 
+/// What scoring reads of a fusion solve: the three numbers of a
+/// [`FusionResult`] that are not per-region detail. The evaluator's fuse
+/// tier stores exactly this ([`fuse_regions_totals`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FusionTotals {
+    /// Post-fusion step time with cross-region DMA overlap:
+    /// `max(Σ compute, Σ post-fusion DRAM)`.
+    pub total_seconds: f64,
+    /// Bytes of weights pinned across inferences.
+    pub pinned_weight_bytes: u64,
+    /// DRAM traffic per step after fusion.
+    pub dram_bytes: u64,
+}
+
+impl FusionTotals {
+    /// The totals of `placements`, the post-fusion DRAM seconds summed in
+    /// region order.
+    fn of(regions: &[RegionPerf], compute_seconds: f64, placements: &[Placement]) -> FusionTotals {
+        let mut pinned_weight_bytes = 0;
+        let mut dram_bytes = 0;
+        let mut dram_seconds = 0.0;
+        for (r, p) in regions.iter().zip(placements) {
+            if p.weight_gm {
+                pinned_weight_bytes += r.weight_store_bytes;
+            }
+            dram_bytes += r.dram_bytes_with_placements(p.input_gm, p.output_gm, p.weight_gm);
+            let mut d = r.t_fixed;
+            if !p.input_gm {
+                d += r.t_in;
+            }
+            if !p.output_gm {
+                d += r.t_out;
+            }
+            if !p.weight_gm {
+                d += r.t_weight;
+            }
+            dram_seconds += d;
+        }
+        FusionTotals {
+            total_seconds: compute_seconds.max(dram_seconds),
+            pinned_weight_bytes,
+            dram_bytes,
+        }
+    }
+}
+
+// The fuse tier's persisted value.
+impl serde::bin::Encode for FusionTotals {
+    fn encode(&self, w: &mut serde::bin::Writer) {
+        let FusionTotals { total_seconds, pinned_weight_bytes, dram_bytes } = *self;
+        total_seconds.encode(w);
+        pinned_weight_bytes.encode(w);
+        dram_bytes.encode(w);
+    }
+}
+
+impl serde::bin::Decode for FusionTotals {
+    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+        Ok(FusionTotals {
+            total_seconds: f64::decode(r)?,
+            pinned_weight_bytes: u64::decode(r)?,
+            dram_bytes: u64::decode(r)?,
+        })
+    }
+}
+
 /// Counters describing the exact-solver work behind fusion solves and how
 /// much of it the cross-point warm-start tier absorbed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -686,95 +752,83 @@ fn capacity_rows(regions: &[RegionPerf], gm_bytes: u64, placements: &[Placement]
     rows
 }
 
-/// Evaluation of a placement vector.
-struct Evaluation {
-    times: Vec<f64>,
-    sum_times: f64,
-    overlapped_total: f64,
-    pinned: u64,
-    peak: u64,
-    dram: u64,
-}
-
-fn evaluate(
-    regions: &[RegionPerf],
-    compute_seconds: f64,
-    gm_bytes: u64,
-    placements: &[Placement],
-) -> Evaluation {
-    let pinned: u64 = regions
-        .iter()
-        .zip(placements)
-        .filter(|(_, p)| p.weight_gm)
-        .map(|(r, _)| r.weight_store_bytes)
-        .sum();
-    let mut times = Vec::with_capacity(regions.len());
-    let mut sum_times = 0.0;
-    let mut dram = 0u64;
-    let mut dram_seconds = 0.0;
-    for (r, p) in regions.iter().zip(placements) {
-        let t = r.time_with_placements(p.input_gm, p.output_gm, p.weight_gm);
-        times.push(t);
-        sum_times += t;
-        dram += r.dram_bytes_with_placements(p.input_gm, p.output_gm, p.weight_gm);
-        let mut d = r.t_fixed;
-        if !p.input_gm {
-            d += r.t_in;
-        }
-        if !p.output_gm {
-            d += r.t_out;
-        }
-        if !p.weight_gm {
-            d += r.t_weight;
-        }
-        dram_seconds += d;
-    }
-    let peak = capacity_rows(regions, gm_bytes, placements).into_iter().max().unwrap_or(0);
-    Evaluation {
-        times,
-        sum_times,
-        overlapped_total: compute_seconds.max(dram_seconds),
-        pinned,
-        peak,
-        dram,
-    }
-}
-
 /// Checks that `placements` respect the per-layer capacity rows.
 fn feasible(regions: &[RegionPerf], gm_bytes: u64, placements: &[Placement]) -> bool {
     capacity_rows(regions, gm_bytes, placements).into_iter().all(|row| row <= gm_bytes)
 }
 
-/// A greedy candidate in the lazy max-heap: `density` is time saved per
-/// Global-Memory byte; `kind` 0 is "pin weights of region `i`", kind 1 is
-/// "fuse the primary edge into consumer `i`". Ordering reproduces the
-/// historical full-scan argmax exactly: highest density first, ties to the
-/// smaller region index, then to the weight move (the scan evaluated
-/// candidates in `(i, weight-then-fuse)` order and replaced only on a
-/// strict improvement).
-#[derive(Debug, PartialEq)]
-struct GreedyCand {
-    density: f64,
-    i: usize,
-    kind: u8,
-    version: u32,
+/// "No region": the end of a consumer list, or a region whose fuse move is
+/// not eligible.
+const NO_REGION: u32 = u32::MAX;
+
+/// What the greedy kernel reads of one region, copied once per solve into
+/// a flat array.
+#[derive(Debug, Clone, Copy)]
+struct GreedyRegion {
+    t_fixed: f64,
+    t_in: f64,
+    t_out: f64,
+    t_weight: f64,
+    compute_seconds: f64,
+    /// Bytes pinning the weights takes (`W_i`).
+    weight_store_bytes: u64,
+    /// Global-Memory bytes fusing the primary input takes.
+    fuse_bytes: u64,
+    /// The producer of the primary input when the fuse move is eligible,
+    /// else [`NO_REGION`].
+    producer: u32,
+    /// Head of this region's list of fuse-eligible consumers.
+    first_consumer: u32,
+    /// Next fuse-eligible consumer of this region's producer.
+    next_consumer: u32,
+    /// Whether pinning the weights is eligible.
+    weight_eligible: bool,
 }
 
-impl Eq for GreedyCand {}
+impl GreedyRegion {
+    /// [`RegionPerf::time_with_placements`], in the same floating-point
+    /// order.
+    fn time(&self, in_gm: bool, out_gm: bool, weight_gm: bool) -> f64 {
+        let mut dram = self.t_fixed;
+        if !in_gm {
+            dram += self.t_in;
+        }
+        if !out_gm {
+            dram += self.t_out;
+        }
+        if !weight_gm {
+            dram += self.t_weight;
+        }
+        self.compute_seconds.max(dram)
+    }
 
-impl PartialOrd for GreedyCand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn time_at(&self, p: Placement) -> f64 {
+        self.time(p.input_gm, p.output_gm, p.weight_gm)
     }
 }
 
-impl Ord for GreedyCand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.density
-            .total_cmp(&other.density)
-            .then_with(|| other.i.cmp(&self.i))
-            .then_with(|| other.kind.cmp(&self.kind))
-    }
+/// The greedy kernel's buffers, kept per thread between solves.
+#[derive(Debug)]
+struct GreedyScratch {
+    regions: Vec<GreedyRegion>,
+    /// Row usage excluding the global pinned term.
+    row_local: Vec<u64>,
+    /// Current version of each candidate slot `2i + kind`.
+    versions: Vec<u32>,
+    heap: std::collections::BinaryHeap<u128>,
+}
+
+thread_local! {
+    /// Created empty, so a thread allocates nothing until its first solve.
+    static GREEDY_SCRATCH: std::cell::RefCell<GreedyScratch> =
+        const {
+            std::cell::RefCell::new(GreedyScratch {
+                regions: Vec::new(),
+                row_local: Vec::new(),
+                versions: Vec::new(),
+                heap: std::collections::BinaryHeap::new(),
+            })
+        };
 }
 
 /// Greedy warm start: repeatedly take the feasible move with the best
@@ -783,140 +837,192 @@ impl Ord for GreedyCand {
 /// Moves are (a) pin one region's weights, (b) fuse one adjacent
 /// producer→consumer activation edge. Per-move deltas are computed locally
 /// (only the touched regions change time; pinning shrinks every row's
-/// slack), and candidates wait in a lazy max-heap: a densities entry is
-/// recomputed only when an accepted move touches one of the regions it
-/// reads, and feasibility — which is *monotone* (pinned bytes and row
-/// residency only grow, so an infeasible move can never become feasible) —
-/// is checked at pop time. This makes the pass `O(moves · log n)`-ish
-/// instead of a full `O(n)` rescan per accepted move, while selecting the
-/// exact same move sequence as the scan did.
+/// slack), and candidates wait in a lazy max-heap: a density is recomputed
+/// only when an accepted move touches one of the regions it reads, and
+/// feasibility — which is *monotone* (pinned bytes and row residency only
+/// grow, so an infeasible move can never become feasible) — is checked at
+/// pop time. This makes the pass `O(moves · log n)`-ish instead of a full
+/// `O(n)` rescan per accepted move, while selecting the exact same move
+/// sequence as the scan did.
+///
+/// The kernel runs over a flat per-region copy of what it reads, with each
+/// producer's fuse-eligible consumers linked through region indices, and
+/// buffers kept per thread between solves; the only allocation per solve is
+/// the returned placement vector. A heap entry is one packed `u128` key:
+/// the density's bits, then `u32::MAX − slot` with `slot = 2i + kind` (kind
+/// 0 pins weights, kind 1 fuses the input), then the slot's version. So a
+/// higher density pops first, ties go to the smaller region index and then
+/// to the weight move — the scan evaluated candidates in `(i,
+/// weight-then-fuse)` order and replaced only on a strict improvement —
+/// and a stale entry (older version) never outranks the live one of its
+/// slot. Every density is finite and positive (`saved > 1e-15` over at
+/// least one byte), and for non-negative doubles the bit patterns order
+/// exactly as [`f64::total_cmp`] does, so the integer order is the
+/// historical `(density, i, kind)` order.
 fn greedy(regions: &[RegionPerf], gm_bytes: u64, elig: &[Eligibility]) -> Vec<Placement> {
-    use std::collections::BinaryHeap;
-    let n = regions.len();
-    let mut placements = vec![Placement::default(); n];
-    let mut pinned: u64 = 0;
-    // Row usage excluding the global pinned term, and its running maximum
-    // (also monotone: fusing only adds residency).
-    let mut row_local: Vec<u64> = regions.iter().map(|r| r.resident_buffer_bytes).collect();
-    let mut local_peak = row_local.iter().copied().max().unwrap_or(0);
-    // Fuse candidates reading region `j` as their producer.
-    let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, e) in elig.iter().enumerate() {
-        if e.input {
-            consumers_of[regions[i].primary_input.expect("eligible input has producer")].push(i);
-        }
-    }
+    GREEDY_SCRATCH.with(|scratch| scratch.borrow_mut().solve(regions, gm_bytes, elig))
+}
 
-    let time_of = |placements: &[Placement], i: usize| {
-        regions[i].time_with_placements(
-            placements[i].input_gm,
-            placements[i].output_gm,
-            placements[i].weight_gm,
-        )
-    };
-    // Candidate densities under the *current* placements; `None` when the
-    // move is spent, ineligible, or saves nothing (the scan's
-    // `saved > 1e-15` gate). Feasibility is deliberately not part of this —
-    // it is checked against the monotone capacity state at pop time.
-    let weight_density = |placements: &[Placement], i: usize| -> Option<f64> {
-        if !elig[i].weight || placements[i].weight_gm {
+impl GreedyScratch {
+    fn solve(
+        &mut self,
+        regions: &[RegionPerf],
+        gm_bytes: u64,
+        elig: &[Eligibility],
+    ) -> Vec<Placement> {
+        let n = regions.len();
+        assert!(n < (u32::MAX / 2) as usize, "{n} regions overflow the greedy's slot index");
+        let GreedyScratch { regions: rs, row_local, versions, heap } = self;
+        rs.clear();
+        rs.extend(regions.iter().zip(elig).enumerate().map(|(i, (r, e))| GreedyRegion {
+            t_fixed: r.t_fixed,
+            t_in: r.t_in,
+            t_out: r.t_out,
+            t_weight: r.t_weight,
+            compute_seconds: r.compute_seconds,
+            weight_store_bytes: r.weight_store_bytes,
+            fuse_bytes: if e.input { fused_input_charge(regions, i, gm_bytes) } else { 0 },
+            producer: match r.primary_input {
+                Some(j) if e.input => j as u32,
+                _ => NO_REGION,
+            },
+            first_consumer: NO_REGION,
+            next_consumer: NO_REGION,
+            weight_eligible: e.weight,
+        }));
+        // Link each producer's consumers, walking down so every list runs
+        // in increasing region order.
+        for i in (0..n).rev() {
+            let j = rs[i].producer;
+            if j != NO_REGION {
+                rs[i].next_consumer = rs[j as usize].first_consumer;
+                rs[j as usize].first_consumer = i as u32;
+            }
+        }
+        row_local.clear();
+        row_local.extend(regions.iter().map(|r| r.resident_buffer_bytes));
+        // The running maximum of `row_local` (monotone: fusing only adds
+        // residency).
+        let mut local_peak = row_local.iter().copied().max().unwrap_or(0);
+        let mut pinned: u64 = 0;
+        versions.clear();
+        versions.resize(2 * n, 0);
+        heap.clear();
+        let mut placements = vec![Placement::default(); n];
+
+        for slot in 0..2 * n as u32 {
+            push(heap, rs, &placements, versions, slot);
+        }
+        while let Some(key) = heap.pop() {
+            let slot = u32::MAX - (key >> 32) as u32;
+            if key as u32 != versions[slot as usize] {
+                continue; // stale: a fresher entry (or none) superseded it
+            }
+            let i = (slot / 2) as usize;
+            let fuse = slot % 2 == 1;
+            if fuse {
+                let j = rs[i].producer as usize;
+                let bytes = rs[i].fuse_bytes;
+                if !row_local[j..=i].iter().all(|&row| row + bytes + pinned <= gm_bytes) {
+                    continue; // monotone: rows and pinned bytes only grow
+                }
+                placements[i].input_gm = true;
+                placements[j].output_gm = true;
+                for row in &mut row_local[j..=i] {
+                    *row += bytes;
+                    local_peak = local_peak.max(*row);
+                }
+            } else {
+                // Pinning must fit under every row (it is globally resident).
+                let w = rs[i].weight_store_bytes;
+                if pinned + w + local_peak > gm_bytes {
+                    continue; // monotone: can never fit later either
+                }
+                placements[i].weight_gm = true;
+                pinned += w;
+            }
+            // Re-key every candidate whose density reads a changed region:
+            // its own moves, and the fuse moves of its consumers.
+            // (Feasibility shifts from `pinned`/`row_local` growth need no
+            // re-keying — pops recheck them against the live state.)
+            bump_region(heap, rs, &placements, versions, i);
+            if fuse {
+                bump_region(heap, rs, &placements, versions, rs[i].producer as usize);
+            }
+        }
+        placements
+    }
+}
+
+/// Moves region `r`'s own candidates and its consumers' fuse candidates to
+/// a new version, re-keyed under the current placements.
+fn bump_region(
+    heap: &mut std::collections::BinaryHeap<u128>,
+    rs: &[GreedyRegion],
+    placements: &[Placement],
+    versions: &mut [u32],
+    r: usize,
+) {
+    let mut c = rs[r].first_consumer;
+    while c != NO_REGION {
+        push(heap, rs, placements, versions, 2 * c + 1);
+        c = rs[c as usize].next_consumer;
+    }
+    push(heap, rs, placements, versions, 2 * r as u32);
+    push(heap, rs, placements, versions, 2 * r as u32 + 1);
+}
+
+/// Bumps `slot`'s version and, when its move is open and saves time, pushes
+/// its key under the current placements.
+fn push(
+    heap: &mut std::collections::BinaryHeap<u128>,
+    rs: &[GreedyRegion],
+    placements: &[Placement],
+    versions: &mut [u32],
+    slot: u32,
+) {
+    let version = &mut versions[slot as usize];
+    *version = version.wrapping_add(1);
+    if let Some(density) = density(rs, placements, slot) {
+        heap.push(
+            u128::from(density.to_bits()) << 64
+                | u128::from(u32::MAX - slot) << 32
+                | u128::from(*version),
+        );
+    }
+}
+
+/// Time saved per Global-Memory byte by `slot`'s move under the current
+/// placements; `None` when the move is spent, ineligible, or saves
+/// nothing (the scan's `saved > 1e-15` gate). Feasibility is deliberately
+/// not part of this — it is checked against the monotone capacity state at
+/// pop time.
+fn density(rs: &[GreedyRegion], placements: &[Placement], slot: u32) -> Option<f64> {
+    let i = (slot / 2) as usize;
+    let r = &rs[i];
+    let p = placements[i];
+    let (saved, bytes) = if slot % 2 == 1 {
+        if r.producer == NO_REGION || p.input_gm {
             return None;
         }
-        let r = &regions[i];
-        let before = time_of(placements, i);
-        let c = placements[i];
-        let after = r.time_with_placements(c.input_gm, c.output_gm, true);
-        let saved = before - after;
-        (saved > 1e-15).then(|| saved / r.weight_store_bytes.max(1) as f64)
-    };
-    let fuse_density = |placements: &[Placement], i: usize| -> Option<f64> {
-        if !elig[i].input || placements[i].input_gm {
+        let producer = &rs[r.producer as usize];
+        let pj = placements[r.producer as usize];
+        let mut before = r.time_at(p);
+        if !pj.output_gm {
+            before += producer.time_at(pj);
+        }
+        let mut after = r.time(true, p.output_gm, p.weight_gm);
+        if !pj.output_gm {
+            after += producer.time(pj.input_gm, true, pj.weight_gm);
+        }
+        (before - after, r.fuse_bytes)
+    } else {
+        if !r.weight_eligible || p.weight_gm {
             return None;
         }
-        let j = regions[i].primary_input.expect("eligible input has producer");
-        let bytes = fused_input_charge(regions, i, gm_bytes);
-        let mut before = time_of(placements, i);
-        let mut cj = placements[j];
-        if !cj.output_gm {
-            before += time_of(placements, j);
-        }
-        let ci = placements[i];
-        let mut after = regions[i].time_with_placements(true, ci.output_gm, ci.weight_gm);
-        if !cj.output_gm {
-            cj.output_gm = true;
-            after += regions[j].time_with_placements(cj.input_gm, cj.output_gm, cj.weight_gm);
-        }
-        let saved = before - after;
-        (saved > 1e-15).then(|| saved / bytes.max(1) as f64)
+        (r.time_at(p) - r.time(p.input_gm, p.output_gm, true), r.weight_store_bytes)
     };
-
-    // `versions[2i + kind]` invalidates stale heap entries; `push` snapshots
-    // the current version with a freshly computed density.
-    let mut versions = vec![0u32; 2 * n];
-    let mut heap: BinaryHeap<GreedyCand> = BinaryHeap::with_capacity(2 * n);
-    let push = |heap: &mut BinaryHeap<GreedyCand>,
-                versions: &[u32],
-                placements: &[Placement],
-                i: usize,
-                kind: u8| {
-        let density =
-            if kind == 0 { weight_density(placements, i) } else { fuse_density(placements, i) };
-        if let Some(density) = density {
-            heap.push(GreedyCand { density, i, kind, version: versions[2 * i + kind as usize] });
-        }
-    };
-    for i in 0..n {
-        push(&mut heap, &versions, &placements, i, 0);
-        push(&mut heap, &versions, &placements, i, 1);
-    }
-
-    while let Some(cand) = heap.pop() {
-        let GreedyCand { i, kind, version, .. } = cand;
-        if version != versions[2 * i + kind as usize] {
-            continue; // stale: a fresher entry (or none) superseded it
-        }
-        if kind == 0 {
-            // Pinning must fit under every row (it is globally resident).
-            let w = regions[i].weight_store_bytes;
-            if pinned + w + local_peak > gm_bytes {
-                continue; // monotone: can never fit later either
-            }
-            placements[i].weight_gm = true;
-            pinned += w;
-        } else {
-            let j = regions[i].primary_input.expect("checked");
-            let bytes = fused_input_charge(regions, i, gm_bytes);
-            if !(j..=i).all(|k| row_local[k] + bytes + pinned <= gm_bytes) {
-                continue; // monotone: rows and pinned bytes only grow
-            }
-            placements[i].input_gm = true;
-            placements[j].output_gm = true;
-            for row in row_local.iter_mut().take(i + 1).skip(j) {
-                *row += bytes;
-                local_peak = local_peak.max(*row);
-            }
-        }
-        // Re-key every candidate whose density reads a changed region: its
-        // own moves, and the fuse moves of its consumers. (Feasibility
-        // shifts from `pinned`/`row_local` growth need no re-keying — pops
-        // recheck them against the live state.)
-        let bump_region = |heap: &mut BinaryHeap<GreedyCand>,
-                           versions: &mut Vec<u32>,
-                           placements: &[Placement],
-                           r: usize| {
-            for (target, k) in consumers_of[r].iter().map(|&c| (c, 1u8)).chain([(r, 0u8), (r, 1u8)])
-            {
-                versions[2 * target + k as usize] += 1;
-                push(heap, versions, placements, target, k);
-            }
-        };
-        bump_region(&mut heap, &mut versions, &placements, i);
-        if kind == 1 {
-            let j = regions[i].primary_input.expect("checked");
-            bump_region(&mut heap, &mut versions, &placements, j);
-        }
-    }
-    placements
+    (saved > 1e-15).then(|| saved / bytes.max(1) as f64)
 }
 
 /// Variable handles of the Figure-8 ILP.
@@ -1083,6 +1189,11 @@ pub fn fuse_regions(
 /// difference is the [`FusionSolver`] tag, which can report `ExactOptimal`
 /// where the budget-starved cold solve would have said `ExactIncumbent` —
 /// the placements and all derived numbers are the same.
+///
+/// The placements and the [`FusionTotals`] come from the one solve path
+/// [`fuse_regions_totals`] runs, so the two never disagree; only the
+/// per-region times, their sum and the peak Global-Memory row are computed
+/// here in addition.
 #[must_use]
 pub fn fuse_regions_warm(
     regions: &[RegionPerf],
@@ -1092,45 +1203,69 @@ pub fn fuse_regions_warm(
     label: &str,
     tier: Option<&WarmStartTier>,
 ) -> FusionResult {
-    let n = regions.len();
-    if opts.disabled || gm_bytes == 0 || n == 0 {
-        let placements = vec![Placement::default(); n];
-        let ev = evaluate(regions, compute_seconds, gm_bytes, &placements);
-        return FusionResult {
-            placements,
-            region_seconds: ev.times,
-            total_seconds: ev.overlapped_total,
-            sum_region_seconds: ev.sum_times,
-            pinned_weight_bytes: ev.pinned,
-            peak_gm_bytes: ev.peak,
-            dram_bytes: ev.dram,
-            solver: FusionSolver::Disabled,
-        };
+    let (placements, solver) = place(regions, gm_bytes, opts, label, tier);
+    let FusionTotals { total_seconds, pinned_weight_bytes, dram_bytes } =
+        FusionTotals::of(regions, compute_seconds, &placements);
+    let region_seconds: Vec<f64> = regions
+        .iter()
+        .zip(&placements)
+        .map(|(r, p)| r.time_with_placements(p.input_gm, p.output_gm, p.weight_gm))
+        .collect();
+    let mut sum_region_seconds = 0.0;
+    for t in &region_seconds {
+        sum_region_seconds += t;
     }
+    let peak_gm_bytes =
+        capacity_rows(regions, gm_bytes, &placements).into_iter().max().unwrap_or(0);
+    FusionResult {
+        placements,
+        region_seconds,
+        total_seconds,
+        sum_region_seconds,
+        pinned_weight_bytes,
+        peak_gm_bytes,
+        dram_bytes,
+        solver,
+    }
+}
 
+/// [`fuse_regions_warm`] reduced to what scoring reads: the same solve and
+/// the same [`FusionTotals`], bit for bit, without building the
+/// per-region vectors of a [`FusionResult`].
+#[must_use]
+pub fn fuse_regions_totals(
+    regions: &[RegionPerf],
+    compute_seconds: f64,
+    gm_bytes: u64,
+    opts: &FusionOptions,
+    label: &str,
+    tier: Option<&WarmStartTier>,
+) -> FusionTotals {
+    let (placements, _) = place(regions, gm_bytes, opts, label, tier);
+    FusionTotals::of(regions, compute_seconds, &placements)
+}
+
+/// Stage C's one solve path: the placements and how they were found.
+fn place(
+    regions: &[RegionPerf],
+    gm_bytes: u64,
+    opts: &FusionOptions,
+    label: &str,
+    tier: Option<&WarmStartTier>,
+) -> (Vec<Placement>, FusionSolver) {
+    if opts.disabled || gm_bytes == 0 || regions.is_empty() {
+        return (vec![Placement::default(); regions.len()], FusionSolver::Disabled);
+    }
     let elig = eligibility(regions, opts.residency_window.max(1));
     let warm = greedy(regions, gm_bytes, &elig);
     let n_binaries: usize = elig
         .iter()
         .map(|e| usize::from(e.input) + usize::from(e.output) + usize::from(e.weight))
         .sum();
-
-    let (placements, solver) = if n_binaries > 0 && n_binaries <= opts.exact_binary_limit {
+    if n_binaries > 0 && n_binaries <= opts.exact_binary_limit {
         solve_exact(regions, label, gm_bytes, opts, &elig, &warm, tier)
     } else {
         (warm, FusionSolver::Heuristic)
-    };
-
-    let ev = evaluate(regions, compute_seconds, gm_bytes, &placements);
-    FusionResult {
-        placements,
-        region_seconds: ev.times,
-        total_seconds: ev.overlapped_total,
-        sum_region_seconds: ev.sum_times,
-        pinned_weight_bytes: ev.pinned,
-        peak_gm_bytes: ev.peak,
-        dram_bytes: ev.dram,
-        solver,
     }
 }
 
@@ -1519,31 +1654,46 @@ mod tests {
         placements
     }
 
-    /// The lazy-heap greedy must reproduce the historical full-scan greedy
-    /// move for move — across the zoo, several Global-Memory capacities
-    /// (feasibility pressure) and residency windows (eligibility shape).
+    /// The packed-key greedy kernel must reproduce the historical full-scan
+    /// greedy move for move — across the zoo's convolutional, attention and
+    /// serving families, the three presets, several Global-Memory
+    /// capacities (feasibility pressure) and residency windows (eligibility
+    /// shape).
     #[test]
     fn heap_greedy_matches_scan_reference_exactly() {
-        for w in [
-            Workload::EfficientNet(EfficientNet::B0),
-            Workload::EfficientNet(EfficientNet::B4),
-            Workload::EfficientNet(EfficientNet::B7),
-            Workload::ResNet50,
-            Workload::Bert { seq_len: 128 },
+        let mapper = fast_sim::MapperCache::new();
+        for (preset, base) in [
+            ("fast_large", presets::fast_large()),
+            ("fast_small", presets::fast_small()),
+            ("tpu_v3", presets::tpu_v3()),
         ] {
-            for gm_mib in [4u64, 16, 128] {
-                for window in [1usize, 8] {
-                    let mut cfg = presets::fast_large();
-                    cfg.global_memory_mib = gm_mib;
-                    let perf = perf_of(w, 8, &cfg);
-                    let elig = eligibility(&perf.regions, window);
-                    let fast = greedy(&perf.regions, cfg.global_memory_bytes(), &elig);
-                    let reference =
-                        greedy_scan_reference(&perf.regions, cfg.global_memory_bytes(), &elig);
-                    assert_eq!(
-                        fast, reference,
-                        "{w} gm={gm_mib}MiB window={window}: heap greedy diverged from scan"
-                    );
+            for w in [
+                Workload::EfficientNet(EfficientNet::B0),
+                Workload::EfficientNet(EfficientNet::B4),
+                Workload::EfficientNet(EfficientNet::B7),
+                Workload::ResNet50,
+                Workload::Bert { seq_len: 128 },
+                Workload::LlmPrefill { seq_len: 512 },
+                Workload::LlmDecode { context: 2048 },
+                Workload::Dlrm,
+                Workload::DiffusionUNet,
+            ] {
+                let g = w.build(8).unwrap();
+                for gm_mib in [4u64, 16, 64, 128, 256] {
+                    let cfg = DatapathConfig { global_memory_mib: gm_mib, ..base };
+                    let perf = fast_sim::simulate_staged(&g, &cfg, &SimOptions::default(), &mapper)
+                        .unwrap();
+                    for window in [1usize, 8] {
+                        let elig = eligibility(&perf.regions, window);
+                        let fast = greedy(&perf.regions, cfg.global_memory_bytes(), &elig);
+                        let reference =
+                            greedy_scan_reference(&perf.regions, cfg.global_memory_bytes(), &elig);
+                        assert_eq!(
+                            fast, reference,
+                            "{w} on {preset} gm={gm_mib}MiB window={window}: heap greedy \
+                             diverged from scan"
+                        );
+                    }
                 }
             }
         }

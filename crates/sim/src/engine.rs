@@ -12,11 +12,11 @@
 //!   everything else is costed on the VPU ([`crate::vector`]).
 
 use crate::cache::MapperCache;
-use crate::error::SimError;
-use crate::mapper::{DataflowSet, PaddingMode};
+use crate::error::{MapFailure, SimError};
+use crate::mapper::{DataflowSet, Mapping, PaddingMode};
 use crate::vector::{cost_vector_op, SoftmaxMode};
 use fast_arch::DatapathConfig;
-use fast_ir::{Graph, NodeId, PlanOp, RegionId};
+use fast_ir::{Graph, NodeId, PlanOp, PlanRegion, RegionId, SimPlan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -158,6 +158,50 @@ pub struct RegionPerf {
 }
 
 impl RegionPerf {
+    /// The record of plan region `r` on a design whose per-core DRAM
+    /// bandwidth is `bw` bytes/s ([`DatapathConfig::dram_bytes_per_sec_per_core`])
+    /// and whose Global Memory holds `gm` bytes
+    /// ([`DatapathConfig::global_memory_bytes`]), given the two values the
+    /// plan and those do not determine: the region's compute seconds and its
+    /// spill bytes. Stage B builds every record through this function, so a
+    /// record rebuilt later from the same two values equals the priced one
+    /// bit for bit.
+    #[must_use]
+    pub fn priced(
+        r: &PlanRegion,
+        bw: f64,
+        gm: u64,
+        compute_seconds: f64,
+        spill_bytes: u64,
+    ) -> RegionPerf {
+        let t_in = r.primary_in_bytes as f64 / bw;
+        let t_fixed = (spill_bytes + (r.in_bytes - r.primary_in_bytes)) as f64 / bw;
+        let t_out = r.out_bytes as f64 / bw;
+        let t_weight = r.weight_bytes as f64 / bw;
+        RegionPerf {
+            region: r.id,
+            name: Arc::clone(&r.name),
+            group: r.group,
+            compute_seconds,
+            flops: r.flops,
+            in_bytes: r.in_bytes,
+            primary_in_bytes: r.primary_in_bytes,
+            out_bytes: r.out_bytes,
+            weight_bytes: r.weight_bytes,
+            weight_store_bytes: r.weight_store_bytes,
+            spill_bytes,
+            t_min: compute_seconds.max(t_fixed),
+            t_max: compute_seconds.max(t_fixed + t_in + t_out + t_weight),
+            t_in,
+            t_fixed,
+            t_out,
+            t_weight,
+            resident_buffer_bytes: if gm == 0 { 0 } else { (r.in_bytes + r.out_bytes).min(gm / 8) },
+            primary_input: r.primary_input,
+            row_streamable: r.row_streamable,
+        }
+    }
+
     /// Execution time given which tensors sit in Global Memory
     /// (the ILP's `T_i` as a function of `p^k_i`).
     #[must_use]
@@ -269,6 +313,33 @@ impl WorkloadPerf {
     }
 }
 
+/// Stage B's product without per-node detail: the region records fusion
+/// reads and the workload totals scoring reads. [`WorkloadPerf`] is this
+/// plus the workload name and the per-node records.
+#[derive(Debug, Clone)]
+pub struct RegionsPerf {
+    /// Batch size per core the graph was built at.
+    pub batch_per_core: u64,
+    /// Number of cores (chip throughput multiplier).
+    pub cores: u64,
+    /// Per-region detail in execution order.
+    pub regions: Vec<RegionPerf>,
+    /// Σ region compute seconds.
+    pub compute_seconds: f64,
+    /// Σ region DRAM transfer seconds with every boundary tensor in DRAM.
+    pub dram_seconds: f64,
+    /// Pre-fusion step time, `max(Σ compute, Σ DRAM)`.
+    pub prefusion_seconds: f64,
+    /// Total FLOPs per step (one core's batch).
+    pub total_flops: u64,
+    /// FLOPs executed on the systolic arrays (matrix ops only).
+    pub matrix_flops: u64,
+    /// Peak FLOPS of one core.
+    pub peak_flops_per_core: f64,
+    /// DRAM bytes per step before fusion.
+    pub prefusion_dram_bytes: u64,
+}
+
 /// Simulates `graph` on one core of `cfg`.
 ///
 /// Op scheduling is memoized per call (identical nests map once); use
@@ -295,7 +366,9 @@ pub fn simulate(
 /// Everything that does not depend on the datapath — loop nests, vector-op
 /// counts, the fusion-region table — comes from the graph's cached
 /// [`fast_ir::SimPlan`], lowered on the first simulation of the graph. Each
-/// call prices the plan's ops on `cfg` and sums them per region.
+/// call prices the plan's ops on `cfg` and sums them per region; the
+/// per-node records are built from those prices. [`simulate_regions`] is
+/// the same simulation without them.
 ///
 /// # Errors
 /// Returns the first [`SimError`] (constraint Eq. 5).
@@ -306,43 +379,13 @@ pub fn simulate_staged(
     mapper: &MapperCache,
 ) -> Result<WorkloadPerf, SimError> {
     let plan = graph.sim_plan();
-    let clock_hz = cfg.clock_ghz * 1e9 * opts.schedule_quality.efficiency();
+    let prices = NodePrices::of(plan, cfg, opts, mapper)?;
     let bw = cfg.dram_bytes_per_sec_per_core();
-    let on_chip_bytes = cfg.global_memory_bytes()
-        + cfg.pes_per_core() * cfg.l1_bytes_per_pe()
-        + cfg.pes_per_core() * cfg.l2_bytes_per_pe();
-
-    // Price the graph's distinct nests through the cache in one batch —
-    // misses share one L1 check and a contiguous costing pass — and each
-    // matrix op from its nest's slot; the plan's repeated nests count as
-    // hits. Walking the nodes in order, the first failing op names the
-    // error, exactly as a per-node walk would.
-    let mapped = mapper.map_batch(&plan.nests, plan.repeated_nests, cfg, opts);
-    let mut nodes = Vec::with_capacity(plan.nodes.len());
-    let mut node_spill = vec![0u64; plan.nodes.len()];
-    for n in &plan.nodes {
-        let (compute_seconds, sa_utilization, spill) = match n.op {
-            PlanOp::Matrix { nest } => {
-                let mapping = match &mapped[nest] {
-                    Ok(mapping) => mapping,
-                    Err(cause) => return Err(cause.clone().for_op(&n.name)),
-                };
-                (mapping.compute_cycles as f64 / clock_hz, Some(mapping.utilization), 0)
-            }
-            PlanOp::Vector { kind, in_elements, out_elements, working_set } => {
-                let cost = cost_vector_op(
-                    &kind,
-                    cfg,
-                    out_elements,
-                    in_elements,
-                    opts.softmax,
-                    working_set <= on_chip_bytes,
-                );
-                (cost.compute_cycles as f64 / clock_hz, None, cost.spill_bytes)
-            }
-        };
-        node_spill[n.id.index()] = spill;
-        nodes.push(NodePerf {
+    let nodes = plan
+        .nodes
+        .iter()
+        .zip(prices.compute_seconds.iter().zip(&prices.spill_bytes))
+        .map(|(n, (&compute_seconds, &spill))| NodePerf {
             node: n.id,
             name: Arc::clone(&n.name),
             class: n.class,
@@ -350,68 +393,150 @@ pub fn simulate_staged(
             compute_seconds,
             unfused_seconds: compute_seconds.max((n.dram_bytes + spill) as f64 / bw),
             flops: n.flops,
-            sa_utilization,
-        });
-    }
-
-    let gm = cfg.global_memory_bytes();
-    let mut regions = Vec::with_capacity(plan.regions.len());
-    let mut compute_total = 0.0;
-    let mut dram_seconds_total = 0.0;
-    let mut dram_total = 0u64;
-    for r in &plan.regions {
-        // Within a fused region the VPU runs concurrently with the systolic
-        // array (element-wise epilogues stream through as matrix results
-        // drain), so region compute is the max of the two pipelines.
-        let matrix_seconds: f64 = r.matrix.iter().map(|n| nodes[n.index()].compute_seconds).sum();
-        let vector_seconds: f64 = r.vector.iter().map(|n| nodes[n.index()].compute_seconds).sum();
-        let compute_seconds = matrix_seconds.max(vector_seconds);
-        let spill_bytes: u64 = r.vector.iter().map(|n| node_spill[n.index()]).sum();
-        let t_in = r.primary_in_bytes as f64 / bw;
-        let t_fixed = (spill_bytes + (r.in_bytes - r.primary_in_bytes)) as f64 / bw;
-        let t_out = r.out_bytes as f64 / bw;
-        let t_weight = r.weight_bytes as f64 / bw;
-        compute_total += compute_seconds;
-        dram_seconds_total += t_fixed + t_in + t_out + t_weight;
-        dram_total += r.in_bytes + r.out_bytes + r.weight_bytes + spill_bytes;
-        regions.push(RegionPerf {
-            region: r.id,
-            name: Arc::clone(&r.name),
-            group: r.group,
-            compute_seconds,
-            flops: r.flops,
-            in_bytes: r.in_bytes,
-            primary_in_bytes: r.primary_in_bytes,
-            out_bytes: r.out_bytes,
-            weight_bytes: r.weight_bytes,
-            weight_store_bytes: r.weight_store_bytes,
-            spill_bytes,
-            t_min: compute_seconds.max(t_fixed),
-            t_max: compute_seconds.max(t_fixed + t_in + t_out + t_weight),
-            t_in,
-            t_fixed,
-            t_out,
-            t_weight,
-            resident_buffer_bytes: if gm == 0 { 0 } else { (r.in_bytes + r.out_bytes).min(gm / 8) },
-            primary_input: r.primary_input,
-            row_streamable: r.row_streamable,
-        });
-    }
-
+            sa_utilization: match n.op {
+                PlanOp::Matrix { nest } => prices.mapped[nest].as_ref().ok().map(|m| m.utilization),
+                PlanOp::Vector { .. } => None,
+            },
+        })
+        .collect();
+    let RegionsPerf {
+        batch_per_core,
+        cores,
+        regions,
+        compute_seconds,
+        dram_seconds,
+        prefusion_seconds,
+        total_flops,
+        matrix_flops,
+        peak_flops_per_core,
+        prefusion_dram_bytes,
+    } = prices.assemble(plan, cfg);
     Ok(WorkloadPerf {
         workload: graph.name().to_string(),
-        batch_per_core: plan.batch,
-        cores: cfg.cores,
+        batch_per_core,
+        cores,
         nodes,
         regions,
-        compute_seconds: compute_total,
-        dram_seconds: dram_seconds_total,
-        prefusion_seconds: compute_total.max(dram_seconds_total),
-        total_flops: plan.total_flops,
-        matrix_flops: plan.matrix_flops,
-        peak_flops_per_core: cfg.peak_flops() / cfg.cores as f64,
-        prefusion_dram_bytes: dram_total,
+        compute_seconds,
+        dram_seconds,
+        prefusion_seconds,
+        total_flops,
+        matrix_flops,
+        peak_flops_per_core,
+        prefusion_dram_bytes,
     })
+}
+
+/// [`simulate_staged`] without the per-node records: the same pricing and
+/// the same region records and totals, bit for bit, which is everything
+/// Stage C and scoring read.
+///
+/// # Errors
+/// Returns the first [`SimError`] (constraint Eq. 5), naming the same op as
+/// [`simulate_staged`].
+pub fn simulate_regions(
+    graph: &Graph,
+    cfg: &DatapathConfig,
+    opts: &SimOptions,
+    mapper: &MapperCache,
+) -> Result<RegionsPerf, SimError> {
+    let plan = graph.sim_plan();
+    Ok(NodePrices::of(plan, cfg, opts, mapper)?.assemble(plan, cfg))
+}
+
+/// Every node of a plan priced on one design, in flat arrays in node order.
+struct NodePrices {
+    /// Mapper results of the plan's distinct nests.
+    mapped: Vec<Result<Mapping, MapFailure>>,
+    /// Compute seconds on one core, per node.
+    compute_seconds: Vec<f64>,
+    /// Unavoidable spill bytes (softmax spills), per node.
+    spill_bytes: Vec<u64>,
+}
+
+impl NodePrices {
+    /// Stage B's one pricing loop.
+    fn of(
+        plan: &SimPlan,
+        cfg: &DatapathConfig,
+        opts: &SimOptions,
+        mapper: &MapperCache,
+    ) -> Result<NodePrices, SimError> {
+        let clock_hz = cfg.clock_ghz * 1e9 * opts.schedule_quality.efficiency();
+        let on_chip_bytes = cfg.global_memory_bytes()
+            + cfg.pes_per_core() * cfg.l1_bytes_per_pe()
+            + cfg.pes_per_core() * cfg.l2_bytes_per_pe();
+
+        // Price the graph's distinct nests through the cache in one batch —
+        // misses share one L1 check and a contiguous costing pass — and each
+        // matrix op from its nest's slot; the plan's repeated nests count as
+        // hits. Walking the nodes in order, the first failing op names the
+        // error, exactly as a per-node walk would.
+        let mapped = mapper.map_batch(&plan.nests, plan.repeated_nests, cfg, opts);
+        let mut compute_seconds = Vec::with_capacity(plan.nodes.len());
+        let mut spill_bytes = Vec::with_capacity(plan.nodes.len());
+        for n in &plan.nodes {
+            let (cycles, spill) = match n.op {
+                PlanOp::Matrix { nest } => match &mapped[nest] {
+                    Ok(mapping) => (mapping.compute_cycles, 0),
+                    Err(cause) => return Err(cause.clone().for_op(&n.name)),
+                },
+                PlanOp::Vector { kind, in_elements, out_elements, working_set } => {
+                    let cost = cost_vector_op(
+                        &kind,
+                        cfg,
+                        out_elements,
+                        in_elements,
+                        opts.softmax,
+                        working_set <= on_chip_bytes,
+                    );
+                    (cost.compute_cycles, cost.spill_bytes)
+                }
+            };
+            compute_seconds.push(cycles as f64 / clock_hz);
+            spill_bytes.push(spill);
+        }
+        Ok(NodePrices { mapped, compute_seconds, spill_bytes })
+    }
+
+    /// Sums the prices per region into region records and workload totals.
+    fn assemble(&self, plan: &SimPlan, cfg: &DatapathConfig) -> RegionsPerf {
+        let bw = cfg.dram_bytes_per_sec_per_core();
+        let gm = cfg.global_memory_bytes();
+        let mut regions = Vec::with_capacity(plan.regions.len());
+        let mut compute_total = 0.0;
+        let mut dram_seconds_total = 0.0;
+        let mut dram_total = 0u64;
+        for r in &plan.regions {
+            // Within a fused region the VPU runs concurrently with the
+            // systolic array (element-wise epilogues stream through as
+            // matrix results drain), so region compute is the max of the two
+            // pipelines.
+            let matrix_seconds: f64 =
+                r.matrix.iter().map(|n| self.compute_seconds[n.index()]).sum();
+            let vector_seconds: f64 =
+                r.vector.iter().map(|n| self.compute_seconds[n.index()]).sum();
+            let spill_bytes: u64 = r.vector.iter().map(|n| self.spill_bytes[n.index()]).sum();
+            let region =
+                RegionPerf::priced(r, bw, gm, matrix_seconds.max(vector_seconds), spill_bytes);
+            compute_total += region.compute_seconds;
+            dram_seconds_total += region.t_fixed + region.t_in + region.t_out + region.t_weight;
+            dram_total += r.in_bytes + r.out_bytes + r.weight_bytes + spill_bytes;
+            regions.push(region);
+        }
+        RegionsPerf {
+            batch_per_core: plan.batch,
+            cores: cfg.cores,
+            regions,
+            compute_seconds: compute_total,
+            dram_seconds: dram_seconds_total,
+            prefusion_seconds: compute_total.max(dram_seconds_total),
+            total_flops: plan.total_flops,
+            matrix_flops: plan.matrix_flops,
+            peak_flops_per_core: cfg.peak_flops() / cfg.cores as f64,
+            prefusion_dram_bytes: dram_total,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,10 @@ pub mod softmax;
 pub mod vector;
 
 pub use cache::{CacheStats, MapperCache, OpKey, Tier};
-pub use engine::{simulate, simulate_staged, NodePerf, RegionPerf, SimOptions, WorkloadPerf};
+pub use engine::{
+    simulate, simulate_regions, simulate_staged, NodePerf, RegionPerf, RegionsPerf, SimOptions,
+    WorkloadPerf,
+};
 
 // The parallel search driver hands `simulate` inputs to worker threads and
 // collects its outputs across them; lock that thread-safety in at compile
