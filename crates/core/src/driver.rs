@@ -337,15 +337,14 @@ impl<'e> FastStudy<'e> {
             self.seed_designs.iter().map(|(cfg, sim)| space.encode(cfg, sim)).collect();
         let mut opt = SeededOptimizer::new(self.optimizer.build(), seeds);
 
-        let cache_path = match &self.durability {
-            Durability::Checkpointed { dir, .. } => Some(dir.join("eval_cache.bin")),
+        // Warm the shared cache from a prior run's snapshot; a missing or
+        // damaged file degrades to a cold cache.
+        let mut checkpoint = match &self.durability {
+            Durability::Checkpointed { dir, .. } => {
+                Some(self.evaluator.attach_eval_cache(&dir.join("eval_cache.bin"), true).0)
+            }
             Durability::Ephemeral => None,
         };
-        if let Some(path) = &cache_path {
-            // Warm the shared cache from a prior run's snapshot; a missing
-            // or damaged file degrades to a cold cache.
-            let _ = self.evaluator.attach_eval_cache(path, true);
-        }
         let staged_before = self.evaluator.staged_cache_stats();
         let parallel = matches!(self.execution, Execution::Parallel { .. });
         let score = |p: &Vec<usize>| match self.evaluator.evaluate_point(&space, p) {
@@ -360,8 +359,8 @@ impl<'e> FastStudy<'e> {
             };
             // Round boundary: append newly-computed results so a kill
             // mid-search only re-pays the round in flight.
-            if let Some(path) = &cache_path {
-                self.evaluator.save_eval_cache_if_new(path);
+            if let Some(checkpoint) = checkpoint.as_mut() {
+                checkpoint.append(self.evaluator);
             }
             scored
         };
@@ -402,11 +401,11 @@ impl<'e> FastStudy<'e> {
 
         let best =
             study.best_point.as_ref().and_then(|p| self.evaluator.evaluate_point(&space, p).ok());
-        if let Some(path) = &cache_path {
+        if let Some(mut checkpoint) = checkpoint {
             // Completion: append what decoding the best point computed (if
             // anything), then seal each tier file into one segment.
-            self.evaluator.save_eval_cache_if_new(path);
-            Evaluator::seal_eval_cache(path);
+            checkpoint.append(self.evaluator);
+            checkpoint.seal();
         }
         Ok(SearchReport {
             study,

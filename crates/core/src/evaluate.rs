@@ -32,6 +32,7 @@
 //! model zoo is immutable across trials.
 
 use crate::search_space::FastSpace;
+use crate::segment;
 use fast_arch::{cost, Budget, DatapathConfig};
 use fast_fusion::{
     fuse_workload, FusionOptions, FusionResult, FusionTotals, Placement, StatsFingerprint,
@@ -814,63 +815,39 @@ impl Evaluator {
 
     /// Attaches an append-only checkpoint at `path` — what a checkpointed
     /// driver ([`crate::FastStudy`], [`crate::SweepRunner`]) does before
-    /// its first round. Turns on the persistent tiers' new-entry logs, so
-    /// [`Evaluator::save_eval_cache_if_new`] can append exactly what was
-    /// computed since. With `resume`, loads the files like
-    /// [`Evaluator::load_eval_cache`], rewrites a file whose torn tail the
-    /// loader dropped as one canonical segment of its whole segments, and
-    /// removes a file the loader rejected, so appends never land after
-    /// damage. Without `resume`, the session starts a fresh checkpoint:
-    /// existing tier files are removed.
+    /// its first round — and returns the session's handle on it. Turns on
+    /// the persistent tiers' new-entry logs, so [`EvalCheckpoint::append`]
+    /// can append exactly what was computed since. With `resume`, loads
+    /// the files like [`Evaluator::load_eval_cache`] and keeps their whole
+    /// segments in the handle; a file whose torn tail the loader dropped is
+    /// rewritten as one canonical segment of its whole segments, and a file
+    /// the loader rejected is removed, so appends never land after damage.
+    /// Without `resume`, the session starts a fresh checkpoint: existing
+    /// tier files are removed.
     ///
     /// Entries already in memory when the log turns on are not appended:
     /// a checkpoint holds what its sessions loaded or computed.
-    pub(crate) fn attach_eval_cache(&self, path: &Path, resume: bool) -> CacheLoadReport {
+    pub(crate) fn attach_eval_cache(
+        &self,
+        path: &Path,
+        resume: bool,
+    ) -> (EvalCheckpoint, CacheLoadReport) {
         self.mapper.track_new();
         self.fuses.track_new();
         self.warm.track_new();
+        let mut checkpoint = EvalCheckpoint {
+            op: TierLog::new(Self::op_tier_path(path), OP_MAGIC, OP_VERSION),
+            fuse: TierLog::new(path.to_path_buf(), FUSE_MAGIC, FUSE_VERSION),
+            warm: TierLog::new(Self::warm_tier_path(path), WARM_MAGIC, WARM_VERSION),
+        };
         if resume {
-            return self.load_tiers(path, true);
+            let report = self.load_tiers(path, Some(&mut checkpoint));
+            return (checkpoint, report);
         }
-        for file in [Self::op_tier_path(path), path.to_path_buf(), Self::warm_tier_path(path)] {
-            remove_tier_file(&file);
+        for log in [&checkpoint.op, &checkpoint.fuse, &checkpoint.warm] {
+            remove_tier_file(&log.path);
         }
-        CacheLoadReport::default()
-    }
-
-    /// Appends, per persistent tier, one sorted segment holding the entries
-    /// first computed since the previous call — each entry is written once,
-    /// by whichever session saves next, and a tier that computed nothing
-    /// writes nothing. Needs [`Evaluator::attach_eval_cache`] first (until
-    /// then the logs are off and nothing is appended). A failed append
-    /// warns and is cut back off the file; its entries are then missing
-    /// from the checkpoint and a resume recomputes them.
-    pub(crate) fn save_eval_cache_if_new(&self, path: &Path) {
-        append_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, &self.mapper.take_new());
-        append_tier(path, FUSE_MAGIC, FUSE_VERSION, &self.fuses.take_new());
-        append_tier(&Self::warm_tier_path(path), WARM_MAGIC, WARM_VERSION, &self.warm.take_new());
-    }
-
-    /// Seals the checkpoint at `path` once its session finished: rewrites
-    /// each multi-segment tier file atomically as one canonical segment —
-    /// byte-identical to what [`Evaluator::save_eval_cache`] writes for the
-    /// same entries, so finished checkpoints of equal sweeps `cmp` equal
-    /// and merge byte-identically. A file that cannot be read is left as it
-    /// is, with a warning.
-    pub(crate) fn seal_eval_cache(path: &Path) {
-        seal_tier::<OpKey, Result<Mapping, MapFailure>>(
-            &Self::op_tier_path(path),
-            OP_MAGIC,
-            OP_VERSION,
-            "op",
-        );
-        seal_tier::<FuseKey, FusionTotals>(path, FUSE_MAGIC, FUSE_VERSION, "fuse");
-        seal_tier::<StructureKey, Vec<Placement>>(
-            &Self::warm_tier_path(path),
-            WARM_MAGIC,
-            WARM_VERSION,
-            "warm",
-        );
+        (checkpoint, CacheLoadReport::default())
     }
 
     /// Loads a [`Evaluator::save_eval_cache`] snapshot pair (or a
@@ -889,19 +866,37 @@ impl Evaluator {
     /// over loaded ones. Loaded entries count as neither hits nor misses
     /// until they answer an evaluation. Files are only read.
     pub fn load_eval_cache(&self, path: &Path) -> CacheLoadReport {
-        self.load_tiers(path, false)
+        self.load_tiers(path, None)
     }
 
-    /// [`Evaluator::load_eval_cache`]; with `repair`, also rewrites each
-    /// recovered or damaged file (see [`Evaluator::attach_eval_cache`]).
-    fn load_tiers(&self, path: &Path, repair: bool) -> CacheLoadReport {
+    /// [`Evaluator::load_eval_cache`]; with a resuming session's
+    /// `checkpoint`, also records each file's whole segments in it and
+    /// repairs each recovered or damaged file (see
+    /// [`Evaluator::attach_eval_cache`]).
+    fn load_tiers(
+        &self,
+        path: &Path,
+        mut checkpoint: Option<&mut EvalCheckpoint>,
+    ) -> CacheLoadReport {
         let mut warnings: Vec<String> = Vec::new();
-        let op_entries: Vec<(OpKey, Result<Mapping, MapFailure>)> =
-            read_tier(&Self::op_tier_path(path), OP_MAGIC, OP_VERSION, "op", repair, &mut warnings);
+        let op_entries: Vec<(OpKey, Result<Mapping, MapFailure>)> = read_tier(
+            &Self::op_tier_path(path),
+            OP_MAGIC,
+            OP_VERSION,
+            "op",
+            checkpoint.as_mut().map(|c| &mut c.op),
+            &mut warnings,
+        );
         let op_loaded = op_entries.len();
         self.mapper.merge(op_entries);
-        let fuse_entries: Vec<(FuseKey, FusionTotals)> =
-            read_tier(path, FUSE_MAGIC, FUSE_VERSION, "fuse", repair, &mut warnings);
+        let fuse_entries: Vec<(FuseKey, FusionTotals)> = read_tier(
+            path,
+            FUSE_MAGIC,
+            FUSE_VERSION,
+            "fuse",
+            checkpoint.as_mut().map(|c| &mut c.fuse),
+            &mut warnings,
+        );
         let fuse_loaded = fuse_entries.len();
         self.fuses.merge(fuse_entries);
         let warm_entries: Vec<(StructureKey, Vec<Placement>)> = read_tier(
@@ -909,7 +904,7 @@ impl Evaluator {
             WARM_MAGIC,
             WARM_VERSION,
             "warm",
-            repair,
+            checkpoint.as_mut().map(|c| &mut c.warm),
             &mut warnings,
         );
         let warm_loaded = warm_entries.len();
@@ -941,31 +936,104 @@ pub(crate) const WARM_MAGIC: [u8; 8] = *b"FASTWRM1";
 /// Warm-start-tier format version.
 pub(crate) const WARM_VERSION: u32 = 1;
 
-// A tier file is a run of one or more segments. Each segment is one
-// `serde::bin` envelope whose payload is an entry count followed by that
-// many `(key, value)` encodings, sorted by encoded key. A file written in
-// one go ([`write_tier`]) is a single segment; a checkpoint appends one
-// segment per save ([`append_tier`]) and is sealed back to a single
-// segment when its session finishes ([`seal_tier`]). A one-segment file is
-// exactly the pre-append format, so no version changed.
+// A tier file is a run of one or more segments (framed by
+// [`crate::segment`]). Each segment's payload is an entry count followed by
+// that many `(key, value)` encodings, sorted by (key bytes, value bytes).
+// A file written in one go ([`write_tier`]) is a single segment; a
+// checkpoint session appends one segment per save
+// ([`EvalCheckpoint::append`]) and seals the file back to a single segment
+// when it finishes ([`EvalCheckpoint::seal`]), merging the sorted runs it
+// already holds — the segments it appended, and those a resume read —
+// without reading the file back or decoding an entry.
 
-/// One canonical segment holding `entries`, sorted by encoded key. Returns
-/// the segment's bytes and its entry count.
-fn encode_segment<K: Encode, V: Encode>(
+/// Where one encoded tier entry lies in a buffer: its key at
+/// `start..mid`, its value at `mid..end`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    start: usize,
+    mid: usize,
+    end: usize,
+}
+
+impl Span {
+    /// The entry's `(key bytes, value bytes)` in `bytes`. Compared as a
+    /// pair, these give the canonical entry order: the order of sorting
+    /// `(key.to_bytes(), value.to_bytes())` pairs.
+    pub(crate) fn of(self, bytes: &[u8]) -> (&[u8], &[u8]) {
+        (&bytes[self.start..self.mid], &bytes[self.mid..self.end])
+    }
+}
+
+/// Encoded tier entries in canonical order: a buffer and the [`Span`] of
+/// each entry in it.
+pub(crate) struct Run {
+    /// The buffer; for a run [`write_segment`] made, the segment itself.
+    pub(crate) bytes: Vec<u8>,
+    spans: Vec<Span>,
+}
+
+impl Run {
+    /// The run over `bytes` with `spans` put in canonical order. Spans
+    /// that are already in order, or are several ordered segments one
+    /// after another, sort in linear or near-linear time.
+    fn sorted(bytes: Vec<u8>, mut spans: Vec<Span>) -> Run {
+        spans.sort_by(|a, b| a.of(&bytes).cmp(&b.of(&bytes)));
+        Run { bytes, spans }
+    }
+
+    /// How many entries the run holds.
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+}
+
+/// Every entry of `runs` as `(run index, span)`, in canonical order.
+pub(crate) fn merged(runs: &[Run]) -> Vec<(usize, Span)> {
+    let mut order: Vec<(usize, Span)> =
+        runs.iter().enumerate().flat_map(|(i, r)| r.spans.iter().map(move |&s| (i, s))).collect();
+    // Each run is sorted, so this merges them.
+    order.sort_by(|&(i, a), &(j, b)| a.of(&runs[i].bytes).cmp(&b.of(&runs[j].bytes)));
+    order
+}
+
+/// One segment holding `entries` of `runs` (as `(run index, span)`, in
+/// canonical order), returned as the run over the segment's own bytes.
+pub(crate) fn write_segment(
     magic: [u8; 8],
     version: u32,
-    entries: &[(K, V)],
-) -> (Vec<u8>, usize) {
-    let mut encoded: Vec<(Vec<u8>, Vec<u8>)> =
-        entries.iter().map(|(k, v)| (k.to_bytes(), v.to_bytes())).collect();
-    encoded.sort();
-    let mut payload = Writer::new();
-    payload.put_u64(encoded.len() as u64);
-    for (k, v) in &encoded {
-        payload.put_bytes(k);
-        payload.put_bytes(v);
+    runs: &[Run],
+    entries: impl IntoIterator<Item = (usize, Span)>,
+) -> Run {
+    let mut bytes = segment::begin(8 + runs.iter().map(|r| r.bytes.len()).sum::<usize>());
+    bytes.extend_from_slice(&[0; 8]); // the entry count, filled in below
+    let mut spans = Vec::with_capacity(runs.iter().map(Run::len).sum());
+    for (run, s) in entries {
+        let start = bytes.len();
+        bytes.extend_from_slice(&runs[run].bytes[s.start..s.end]);
+        spans.push(Span { start, mid: start + (s.mid - s.start), end: bytes.len() });
     }
-    (bin::write_envelope(magic, version, &payload.into_bytes()), encoded.len())
+    let count = bin::ENVELOPE_HEADER_LEN..bin::ENVELOPE_HEADER_LEN + 8;
+    bytes[count].copy_from_slice(&(spans.len() as u64).to_le_bytes());
+    segment::finish(&mut bytes, magic, version);
+    Run { bytes, spans }
+}
+
+/// One canonical segment holding `entries`: every entry is encoded into
+/// one buffer, and the spans, sorted by their bytes, give the segment's
+/// order.
+fn encode_segment<K: Encode, V: Encode>(magic: [u8; 8], version: u32, entries: &[(K, V)]) -> Run {
+    let mut w = Writer::new();
+    let mut spans = Vec::with_capacity(entries.len());
+    for (k, v) in entries {
+        let start = w.len();
+        k.encode(&mut w);
+        let mid = w.len();
+        v.encode(&mut w);
+        spans.push(Span { start, mid, end: w.len() });
+    }
+    let encoded = Run::sorted(w.into_bytes(), spans);
+    let order = encoded.spans.iter().map(|&s| (0, s));
+    write_segment(magic, version, std::slice::from_ref(&encoded), order)
 }
 
 /// Atomically writes one tier file as a single canonical segment; returns
@@ -976,57 +1044,107 @@ pub(crate) fn write_tier<K: Encode, V: Encode>(
     version: u32,
     entries: &[(K, V)],
 ) -> std::io::Result<usize> {
-    let (file, count) = encode_segment(magic, version, entries);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &file)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(count)
+    let run = encode_segment(magic, version, entries);
+    segment::replace(path, &run.bytes)?;
+    Ok(run.len())
 }
 
-/// Appends `entries` to a tier file as one segment (nothing when empty).
-/// A failed write warns and truncates the file back to its old length, so
-/// the next append still starts on a segment boundary.
-fn append_tier<K: Encode, V: Encode>(
-    path: &Path,
-    magic: [u8; 8],
-    version: u32,
-    entries: &[(K, V)],
-) {
-    use std::io::Write as _;
-    if entries.is_empty() {
-        return;
+/// An evaluation-cache checkpoint as one session writes it: per tier file,
+/// what the session knows the file holds, so appending and sealing never
+/// read the files back. Made by [`Evaluator::attach_eval_cache`].
+pub(crate) struct EvalCheckpoint {
+    op: TierLog,
+    fuse: TierLog,
+    warm: TierLog,
+}
+
+impl EvalCheckpoint {
+    /// Appends, per persistent tier, one sorted segment holding the entries
+    /// of `evaluator` (the attached one, or a clone sharing its tiers)
+    /// first computed since the previous call — each entry is written once,
+    /// by whichever session saves next, and a tier that computed nothing
+    /// writes nothing. A failed append warns and is cut back off the file;
+    /// its entries are then missing from the checkpoint and a resume
+    /// recomputes them.
+    pub(crate) fn append(&mut self, evaluator: &Evaluator) {
+        self.op.append(&evaluator.mapper.take_new());
+        self.fuse.append(&evaluator.fuses.take_new());
+        self.warm.append(&evaluator.warm.take_new());
     }
-    let (segment, _) = encode_segment(magic, version, entries);
-    let appended =
-        std::fs::OpenOptions::new().create(true).append(true).open(path).and_then(|mut file| {
-            let len = file.metadata()?.len();
-            file.write_all(&segment).inspect_err(|_| {
-                let _ = file.set_len(len);
-            })
-        });
-    if let Err(e) = appended {
-        crate::warn::warning(format_args!(
-            "could not append to cache snapshot {}: {e}",
-            path.display()
-        ));
+
+    /// Seals the checkpoint once its session finished: replaces each tier
+    /// file of several segments atomically by one canonical segment merged
+    /// from the runs this session holds — byte-identical to what
+    /// [`Evaluator::save_eval_cache`] writes for the same entries, so
+    /// finished checkpoints of equal sweeps `cmp` equal and merge
+    /// byte-identically. A missing or one-segment file is left alone.
+    pub(crate) fn seal(self) {
+        for mut log in [self.op, self.fuse, self.warm] {
+            if log.segments > 1 {
+                log.rewrite();
+            }
+        }
     }
 }
 
-/// Replaces a tier file by one canonical segment of `entries`, or removes
-/// it when there are none; failures warn.
-fn rewrite_tier<K: Encode, V: Encode>(
-    path: &Path,
+/// One tier file of a checkpoint session: how many segments it holds, and
+/// the runs of entries in them — each segment the session appended, and
+/// the whole segments a resume found — which never exceed the file's own
+/// bytes plus one [`Span`] per entry.
+struct TierLog {
+    path: PathBuf,
     magic: [u8; 8],
     version: u32,
-    entries: &[(K, V)],
-) {
-    if entries.is_empty() {
-        remove_tier_file(path);
-    } else if let Err(e) = write_tier(path, magic, version, entries) {
-        crate::warn::warning(format_args!(
-            "could not rewrite cache snapshot {}: {e}",
-            path.display()
-        ));
+    segments: usize,
+    runs: Vec<Run>,
+}
+
+impl TierLog {
+    fn new(path: PathBuf, magic: [u8; 8], version: u32) -> Self {
+        TierLog { path, magic, version, segments: 0, runs: Vec::new() }
+    }
+
+    /// Appends `entries` as one segment (nothing when empty) and records
+    /// it. A failed write warns and cuts the file back, adding no run.
+    fn append<K: Encode, V: Encode>(&mut self, entries: &[(K, V)]) {
+        if entries.is_empty() {
+            return;
+        }
+        let run = encode_segment(self.magic, self.version, entries);
+        match segment::append(&self.path, &run.bytes) {
+            Ok(()) => {
+                self.segments += 1;
+                self.runs.push(run);
+            }
+            Err(e) => crate::warn::warning(format_args!(
+                "could not append to cache snapshot {}: {e}",
+                self.path.display()
+            )),
+        }
+    }
+
+    /// Replaces the file atomically by one canonical segment of every
+    /// recorded entry, or removes it when there are none, and records the
+    /// result; failures warn.
+    fn rewrite(&mut self) {
+        let order = merged(&self.runs);
+        if order.is_empty() {
+            remove_tier_file(&self.path);
+            self.segments = 0;
+            self.runs.clear();
+            return;
+        }
+        let run = write_segment(self.magic, self.version, &self.runs, order);
+        match segment::replace(&self.path, &run.bytes) {
+            Ok(()) => {
+                self.segments = 1;
+                self.runs = vec![run];
+            }
+            Err(e) => crate::warn::warning(format_args!(
+                "could not rewrite cache snapshot {}: {e}",
+                self.path.display()
+            )),
+        }
     }
 }
 
@@ -1043,24 +1161,6 @@ fn remove_tier_file(path: &Path) {
     }
 }
 
-/// Seals one tier file: a file of several segments is rewritten as one; a
-/// missing or single-segment file is left alone; an unreadable one is left
-/// alone with a warning.
-fn seal_tier<K: Encode + Decode, V: Encode + Decode>(
-    path: &Path,
-    magic: [u8; 8],
-    version: u32,
-    tier: &str,
-) {
-    match read_tier_file::<K, V>(path, magic, version, tier) {
-        Err(TierReadError::Missing) | Ok(TierFile { segments: 1, torn: None, .. }) => {}
-        Ok(TierFile { entries, torn: None, .. }) => rewrite_tier(path, magic, version, &entries),
-        Ok(TierFile { torn: Some(what), .. }) | Err(TierReadError::Damaged(what)) => {
-            crate::warn::warning(format_args!("could not seal cache snapshot — {what}"));
-        }
-    }
-}
-
 /// Why a tier snapshot could not be adopted.
 #[derive(Debug)]
 pub(crate) enum TierReadError {
@@ -1071,20 +1171,22 @@ pub(crate) enum TierReadError {
     Damaged(String),
 }
 
-/// A tier file read segment by segment.
-struct TierFile<K, V> {
-    /// The entries of every whole segment, in file order.
-    entries: Vec<(K, V)>,
-    /// How many whole segments were read.
+/// A tier file read by [`read_tier_file`].
+struct TierFile {
+    /// The file's whole segments.
+    bytes: Vec<u8>,
+    /// How many whole segments `bytes` holds.
     segments: usize,
     /// Set when the file ends inside a segment — what a process killed
     /// mid-append leaves — naming the tier, the file and the torn bytes.
     torn: Option<String>,
 }
 
-/// Reads a tier file's segments in order. A segment is adopted whole or
-/// not at all; damage inside any segment fails the whole file, while a
-/// file that ends inside its last segment returns the segments before it
+/// Reads a tier file's segments in order, decoding every entry of each
+/// whole segment and handing it to `each` with its [`Span`] in the file.
+/// A segment is adopted whole or not at all: damage inside any segment
+/// fails the whole file (`each` may have seen some entries by then), while
+/// a file that ends inside its last segment returns the segments before it
 /// and says so in [`TierFile::torn`]. (An empty file is a torn first
 /// segment.)
 fn read_tier_file<K: Decode, V: Decode>(
@@ -1092,70 +1194,48 @@ fn read_tier_file<K: Decode, V: Decode>(
     magic: [u8; 8],
     version: u32,
     tier: &str,
-) -> Result<TierFile<K, V>, TierReadError> {
+    mut each: impl FnMut(K, V, Span),
+) -> Result<TierFile, TierReadError> {
     let damaged = |what: String| {
         TierReadError::Damaged(format!("{tier} tier snapshot {}: {what}", path.display()))
     };
-    let bytes = match std::fs::read(path) {
+    let mut bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(TierReadError::Missing),
         Err(e) => return Err(damaged(e.to_string())),
     };
-    let mut file = TierFile { entries: Vec::new(), segments: 0, torn: None };
-    let mut at = 0;
-    while at < bytes.len() || file.segments == 0 {
-        let rest = &bytes[at..];
-        let Some(end) = segment_end(rest, magic, version) else {
-            file.torn = Some(format!(
-                "{tier} tier snapshot {}: torn final segment at byte {at} ({} bytes)",
-                path.display(),
-                rest.len()
-            ));
-            break;
-        };
-        // Offsets in envelope errors count from the segment's first byte.
-        let segment = |what: String| {
-            damaged(if at == 0 { what } else { format!("segment at byte {at}: {what}") })
-        };
-        let payload =
-            bin::read_envelope(magic, version, &rest[..end]).map_err(|e| segment(e.to_string()))?;
-        decode_segment(payload, &mut file.entries).map_err(segment)?;
-        file.segments += 1;
-        at += end;
-    }
-    Ok(file)
+    let split = segment::read(&bytes, magic, version, |at, payload| {
+        decode_segment(payload, at + bin::ENVELOPE_HEADER_LEN, &mut each)
+    })
+    .map_err(damaged)?;
+    let torn = split.torn.then(|| {
+        format!(
+            "{tier} tier snapshot {}: torn final segment at byte {} ({} bytes)",
+            path.display(),
+            split.whole_len,
+            bytes.len() - split.whole_len
+        )
+    });
+    bytes.truncate(split.whole_len);
+    Ok(TierFile { bytes, segments: split.segments, torn })
 }
 
-/// The length of the segment that starts `rest`, or `None` when `rest` is
-/// a strict prefix of a segment of this tier (the file ends inside it).
-/// Bytes that cannot start such a segment claim all of `rest`, so the
-/// envelope check reports why.
-fn segment_end(rest: &[u8], magic: [u8; 8], version: u32) -> Option<usize> {
-    // Envelope header: magic (8 bytes), version (u32), payload length
-    // (u64), checksum (u64), little-endian.
-    let mut tag = magic.to_vec();
-    tag.extend_from_slice(&version.to_le_bytes());
-    let seen = rest.len().min(tag.len());
-    if rest[..seen] != tag[..seen] {
-        return Some(rest.len());
-    }
-    if rest.len() < bin::ENVELOPE_HEADER_LEN {
-        return None;
-    }
-    let len = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes"));
-    let end = usize::try_from(len).ok()?.checked_add(bin::ENVELOPE_HEADER_LEN)?;
-    (end <= rest.len()).then_some(end)
-}
-
-/// Decodes one segment's payload onto `out`.
+/// Decodes one segment's payload, which starts at byte `base` of its file,
+/// handing each entry and its span in the file to `each`.
 fn decode_segment<K: Decode, V: Decode>(
     payload: &[u8],
-    out: &mut Vec<(K, V)>,
+    base: usize,
+    each: &mut impl FnMut(K, V, Span),
 ) -> Result<(), String> {
     let mut r = Reader::new(payload);
+    let at = |r: &Reader<'_>| base + payload.len() - r.remaining();
     let count = r.get_u64().map_err(|e| e.to_string())?;
     for _ in 0..count {
-        out.push(<(K, V)>::decode(&mut r).map_err(|e| e.to_string())?);
+        let start = at(&r);
+        let key = K::decode(&mut r).map_err(|e| e.to_string())?;
+        let mid = at(&r);
+        let value = V::decode(&mut r).map_err(|e| e.to_string())?;
+        each(key, value, Span { start, mid, end: at(&r) });
     }
     if !r.is_done() {
         return Err(format!("{} trailing bytes", r.remaining()));
@@ -1163,57 +1243,81 @@ fn decode_segment<K: Decode, V: Decode>(
     Ok(())
 }
 
-/// Reads one tier file strictly: the caller decides whether damage
-/// degrades (the warm-start loader) or aborts (the merge pipeline, where a
-/// silently dropped shard would break the merged == single-process
-/// bit-identity contract). Any damage fails, a torn final segment
-/// included; everything decodes before anything is returned.
+/// Reads one tier file strictly, as the run of its entries: the merge
+/// pipeline's reader, where a silently dropped shard would break the
+/// merged == single-process bit-identity contract. Any damage fails, a
+/// torn final segment included; every entry decodes before the run is
+/// returned.
 pub(crate) fn read_tier_strict<K: Decode, V: Decode>(
     path: &Path,
     magic: [u8; 8],
     version: u32,
     tier: &str,
-) -> Result<Vec<(K, V)>, TierReadError> {
-    let file = read_tier_file(path, magic, version, tier)?;
+) -> Result<Run, TierReadError> {
+    let mut spans = Vec::new();
+    let file = read_tier_file::<K, V>(path, magic, version, tier, |_, _, span| spans.push(span))?;
     match file.torn {
         Some(what) => Err(TierReadError::Damaged(what)),
-        None => Ok(file.entries),
+        None => Ok(Run::sorted(file.bytes, spans)),
     }
 }
 
 /// [`read_tier_file`] with the warm-start policy: a missing file is
 /// silently cold; a torn final segment keeps the whole segments before it;
 /// other damage degrades to cold. Both warn, naming the tier file and the
-/// failing byte region. With `repair`, a recovered file is rewritten as one
-/// canonical segment of what was kept, and a damaged one is removed.
-fn read_tier<K: Encode + Decode, V: Encode + Decode>(
+/// failing byte region. With a resuming session's `log`, the whole
+/// segments seed it, a recovered file is rewritten as one canonical
+/// segment of what was kept, and a damaged one is removed.
+fn read_tier<K: Decode, V: Decode>(
     path: &Path,
     magic: [u8; 8],
     version: u32,
     tier: &str,
-    repair: bool,
+    log: Option<&mut TierLog>,
     warnings: &mut Vec<String>,
 ) -> Vec<(K, V)> {
-    let (entries, what) = match read_tier_file(path, magic, version, tier) {
-        Ok(TierFile { entries, torn: None, .. }) => return entries,
-        Err(TierReadError::Missing) => return Vec::new(),
-        Ok(TierFile { entries, torn: Some(what), .. }) => {
-            crate::warn::warning(format_args!(
-                "evaluation-cache snapshot cut short — {what}; kept the {} entries of the \
-                 whole segments before it",
-                entries.len()
-            ));
-            (entries, what)
+    let mut entries = Vec::new();
+    let mut spans = Vec::new();
+    let note = log.is_some();
+    let read = read_tier_file(path, magic, version, tier, |k, v, span| {
+        entries.push((k, v));
+        if note {
+            spans.push(span);
+        }
+    });
+    let what = match read {
+        Err(TierReadError::Missing) => return entries,
+        Ok(TierFile { bytes, segments, torn }) => {
+            if let Some(what) = &torn {
+                crate::warn::warning(format_args!(
+                    "evaluation-cache snapshot cut short — {what}; kept the {} entries of the \
+                     whole segments before it",
+                    entries.len()
+                ));
+            }
+            if let Some(log) = log {
+                log.segments = segments;
+                log.runs.push(Run::sorted(bytes, spans));
+                if torn.is_some() {
+                    // Drop the torn tail before the session's first append.
+                    log.rewrite();
+                }
+            }
+            match torn {
+                Some(what) => what,
+                None => return entries,
+            }
         }
         Err(TierReadError::Damaged(what)) => {
             crate::warn::warning(format_args!("evaluation-cache snapshot ignored — {what}"));
-            (Vec::new(), what)
+            entries.clear();
+            if log.is_some() {
+                remove_tier_file(path);
+            }
+            what
         }
     };
     warnings.push(what);
-    if repair {
-        rewrite_tier(path, magic, version, &entries);
-    }
     entries
 }
 
@@ -1756,7 +1860,7 @@ mod tests {
         let payload = bin::read_envelope(FUSE_MAGIC, FUSE_VERSION, &bytes).unwrap();
         assert!(
             read_tier_strict::<FuseKey, FusionTotals>(&current, FUSE_MAGIC, FUSE_VERSION, "fuse")
-                .is_ok_and(|entries| !entries.is_empty()),
+                .is_ok_and(|run| run.len() > 0),
             "the payload carried over to the version-2 file decodes"
         );
         std::fs::write(&path, bin::write_envelope(FUSE_MAGIC, 2, payload)).unwrap();
@@ -1940,11 +2044,11 @@ mod tests {
     fn fusion_only_rounds_rewrite_only_the_fuse_file() {
         let e = evaluator(Objective::Qps);
         let path = scratch("marks.bin");
-        let _ = e.attach_eval_cache(&path, false);
+        let (mut checkpoint, _) = e.attach_eval_cache(&path, false);
 
         // Round 1: fresh simulation — both files written.
         let _ = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        e.save_eval_cache_if_new(&path);
+        checkpoint.append(&e);
         let op_path = Evaluator::op_tier_path(&path);
         let op_mtime = |p: &Path| std::fs::metadata(p).unwrap().modified().unwrap();
         assert!(path.exists() && op_path.exists());
@@ -1959,7 +2063,7 @@ mod tests {
             .with_fusion(FusionOptions { residency_window: 1, ..FusionOptions::default() });
         let _ = sweep.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
         let fuse_before = std::fs::read(&path).unwrap();
-        sweep.save_eval_cache_if_new(&path);
+        checkpoint.append(&sweep);
         assert_eq!(std::fs::read(&op_path).unwrap(), op_written, "op tier must not be rewritten");
         assert_eq!(op_mtime(&op_path), t0, "op tier file untouched by a fusion-only round");
         let fuse_after = std::fs::read(&path).unwrap();
@@ -1968,7 +2072,7 @@ mod tests {
 
         // Round 3: nothing new — neither file changes.
         let _ = sweep.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
-        sweep.save_eval_cache_if_new(&path);
+        checkpoint.append(&sweep);
         assert_eq!(std::fs::read(&path).unwrap(), fuse_after);
         assert_eq!(std::fs::read(&op_path).unwrap(), op_written);
     }
@@ -1977,17 +2081,21 @@ mod tests {
     fn sealed_checkpoint_equals_a_full_snapshot_and_torn_tails_keep_whole_segments() {
         let e = evaluator(Objective::Qps);
         let path = scratch("sealed.bin");
-        let _ = e.attach_eval_cache(&path, false);
+        let op_path = Evaluator::op_tier_path(&path);
+        let (mut checkpoint, _) = e.attach_eval_cache(&path, false);
         let mut small = presets::fast_large();
         small.pes_x /= 2;
-        for cfg in [presets::fast_large(), small] {
-            let _ = e.evaluate(&cfg, &SimOptions::default()).unwrap();
-            e.save_eval_cache_if_new(&path);
+        let configs = [presets::fast_large(), small];
+        for cfg in &configs {
+            let _ = e.evaluate(cfg, &SimOptions::default()).unwrap();
+            checkpoint.append(&e);
         }
         let fuse_segments = std::fs::read(&path).unwrap();
+        let op_segments = std::fs::read(&op_path).unwrap();
         let reference = scratch("sealed-reference.bin");
         e.save_eval_cache(&reference).unwrap();
-        assert_ne!(fuse_segments, std::fs::read(&reference).unwrap(), "two appended segments");
+        let read = |p: &Path| std::fs::read(p).unwrap();
+        assert_ne!(fuse_segments, read(&reference), "two appended segments");
 
         // A torn second segment: the loader keeps the first and warns; the
         // strict reader refuses the file.
@@ -2003,12 +2111,91 @@ mod tests {
             Err(TierReadError::Damaged(what)) if what.contains("torn")
         ));
 
-        // Sealing gives the full snapshot's bytes, for both tiers.
-        Evaluator::seal_eval_cache(&path);
-        assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&reference).unwrap());
+        // Sealing a fresh session gives the full snapshot's bytes, for both
+        // tiers.
+        checkpoint.seal();
+        assert_eq!(read(&path), read(&reference));
+        assert_eq!(read(&op_path), read(&Evaluator::op_tier_path(&reference)));
+
+        // A session resumed from a torn op-tier tail keeps the first
+        // segment, recomputes the rest, and seals to the same bytes.
+        let first = bin::ENVELOPE_HEADER_LEN
+            + usize::try_from(u64::from_le_bytes(op_segments[12..20].try_into().unwrap())).unwrap();
+        assert!(first < op_segments.len(), "the op tier holds two segments");
+        let resumed = scratch("sealed-resumed.bin");
+        let resumed_op = Evaluator::op_tier_path(&resumed);
+        std::fs::write(&resumed, &fuse_segments).unwrap();
+        std::fs::write(&resumed_op, &op_segments[..first + (op_segments.len() - first) / 2])
+            .unwrap();
+        let r = e.fresh_eval_cache();
+        let ((mut checkpoint, report), _) =
+            crate::warn::capture(|| r.attach_eval_cache(&resumed, true));
+        assert!(report.warning.is_some_and(|w| w.contains("torn final segment")));
+        assert!(report.op_loaded > 0 && report.op_loaded < e.op_cache_len());
+        assert_eq!(report.fuse_loaded, 2);
+        assert_eq!(read(&resumed_op), op_segments[..first], "cut back to the whole segment");
+        for cfg in &configs {
+            let _ = r.evaluate(cfg, &SimOptions::default()).unwrap();
+            checkpoint.append(&r);
+        }
         assert_eq!(
-            std::fs::read(Evaluator::op_tier_path(&path)).unwrap(),
-            std::fs::read(Evaluator::op_tier_path(&reference)).unwrap()
+            r.staged_cache_stats().op.misses as usize,
+            e.op_cache_len() - report.op_loaded,
+            "exactly the torn segment's entries are recomputed"
         );
+        checkpoint.seal();
+        assert_eq!(read(&resumed), read(&reference));
+        assert_eq!(read(&resumed_op), read(&Evaluator::op_tier_path(&reference)));
+    }
+
+    #[test]
+    fn one_buffer_segment_encoding_gives_the_per_entry_encoders_bytes() {
+        // The encoder this replaced: two vectors per entry, sorted as pairs.
+        fn per_entry<K: Encode, V: Encode>(entries: &[(K, V)]) -> Vec<u8> {
+            let mut encoded: Vec<(Vec<u8>, Vec<u8>)> =
+                entries.iter().map(|(k, v)| (k.to_bytes(), v.to_bytes())).collect();
+            encoded.sort();
+            let mut payload = Writer::new();
+            payload.put_u64(encoded.len() as u64);
+            for (k, v) in &encoded {
+                payload.put_bytes(k);
+                payload.put_bytes(v);
+            }
+            bin::write_envelope(FUSE_MAGIC, FUSE_VERSION, &payload.into_bytes())
+        }
+        fn check<K: Encode, V: Encode>(entries: &[(K, V)]) {
+            for n in 0..=entries.len() {
+                let want = per_entry(&entries[..n]);
+                let run = encode_segment(FUSE_MAGIC, FUSE_VERSION, &entries[..n]);
+                assert_eq!(run.bytes, want, "first {n} entries");
+                // The run's spans are its segment's entries in order, so
+                // sealing it alone writes the same bytes again.
+                let order = merged(std::slice::from_ref(&run));
+                assert_eq!(write_segment(FUSE_MAGIC, FUSE_VERSION, &[run], order).bytes, want);
+            }
+        }
+        // Equal keys with differing values, a value order that differs
+        // from the decoded order (a shorter length prefix sorts first), and
+        // a repeated entry.
+        check(&[
+            (7u64, "b".to_string()),
+            (7, "ab".to_string()),
+            (3, "zz".to_string()),
+            (7, "b".to_string()),
+            (u64::MAX, String::new()),
+        ]);
+        // Fuse-tier entries, each also under a second value, and op-tier
+        // entries (one failed mapping among them).
+        let e = evaluator(Objective::Qps);
+        let _ = e.evaluate(&presets::fast_large(), &SimOptions::default()).unwrap();
+        let _ = e.evaluate(&unschedulable(), &SimOptions::default()).unwrap_err();
+        let mut fuse = e.fuses.export();
+        let doubled: Vec<_> = fuse
+            .iter()
+            .map(|(k, v)| (k.clone(), FusionTotals { total_seconds: v.total_seconds * 2.0, ..*v }))
+            .collect();
+        fuse.extend(doubled);
+        check(&fuse);
+        check(&e.mapper.export());
     }
 }

@@ -14,23 +14,26 @@
 //!                                        existence marks the job done
 //! ```
 //!
-//! The spec, ledger and result files are written atomically (temp +
-//! rename). The cache files grow by one appended segment per round that
-//! computed something and are sealed into one segment when the job
-//! finishes; a kill mid-append leaves a torn final segment, which a resume
-//! drops. So a job is always in exactly one of three states: **pending**
-//! (spec recorded, no result — in flight or never started), **done**
-//! (result recorded), or **damaged** (spec unreadable). On restart a server replays [`JobJournal::jobs`]:
+//! The spec and result files are written atomically (temp + rename). The
+//! cache files grow by one appended segment per round that computed
+//! something, and the ledger by one appended record per finished scenario;
+//! each is sealed into one segment when the job finishes. A kill mid-append
+//! leaves a torn final segment, which a resume drops. So a job is always in
+//! exactly one of three states: **pending** (spec recorded, no result — in
+//! flight or never started), **done** (result recorded), or **damaged**
+//! (spec unreadable). On restart a server replays [`JobJournal::jobs`]:
 //! done jobs serve their recorded result, pending jobs re-run through
 //! [`crate::SweepRunner::run_session`] with `resume: true` against their
 //! checkpoint directory — bit-identical to an uninterrupted run by the
 //! sweep determinism contract — and damaged jobs are reported, never
 //! silently dropped.
 
+use crate::segment;
 use crate::sweep::{Checkpointer, CompletedScenario, ScenarioMatrix, SweepConfig};
 use serde::bin::{self, Decode, Encode, Reader, Writer};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Magic prefix of job-spec files.
 pub(crate) const JOB_MAGIC: [u8; 8] = *b"FASTJOB1";
@@ -109,6 +112,9 @@ pub struct JobEntry {
 #[derive(Debug, Clone)]
 pub struct JobJournal {
     root: PathBuf,
+    /// The next id to claim, shared by clones: `None` until the first
+    /// [`JobJournal::create`] seeds it with one scan of the directory.
+    next: Arc<Mutex<Option<u64>>>,
 }
 
 impl JobJournal {
@@ -119,7 +125,7 @@ impl JobJournal {
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(root.join("jobs"))?;
-        Ok(JobJournal { root })
+        Ok(JobJournal { root, next: Arc::default() })
     }
 
     /// The journal's root directory.
@@ -139,29 +145,50 @@ impl JobJournal {
     /// `kill -9` — a restarted server will see it as [`JobState::Pending`]
     /// and run it.
     ///
+    /// Ids come from a counter the first call seeds with one scan of the
+    /// journal, so a create costs the same however many jobs it holds.
+    /// Concurrent creates get distinct, consecutive ids.
+    ///
     /// # Errors
-    /// Propagates directory and file I/O failures; on failure no id is
-    /// consumed (a later call may reuse it).
+    /// Propagates directory and file I/O failures; when the directory
+    /// cannot be created no id is consumed (a later call may reuse it).
     pub fn create(&self, spec: &JobSpec) -> std::io::Result<JobId> {
-        let mut next = self.jobs()?.last().map_or(1, |e| e.id.0 + 1);
-        // One server process owns a journal, but stay robust to a stale
-        // directory from a crashed create: claim ids until one is free.
-        let dir = loop {
-            let dir = self.job_dir(JobId(next));
-            match std::fs::create_dir(&dir) {
-                Ok(()) => break dir,
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => next += 1,
-                Err(e) => return Err(e),
-            }
+        let (id, dir) = {
+            let mut counter = self.next.lock().expect("journal id counter poisoned");
+            let mut next = match *counter {
+                Some(next) => next,
+                None => self.highest_id()? + 1,
+            };
+            // One server process owns a journal, but stay robust to a stale
+            // directory from a crashed create, or one made behind this
+            // handle's back: claim ids until one is free.
+            let dir = loop {
+                let dir = self.job_dir(JobId(next));
+                match std::fs::create_dir(&dir) {
+                    Ok(()) => break dir,
+                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => next += 1,
+                    Err(e) => return Err(e),
+                }
+            };
+            *counter = Some(next + 1);
+            (JobId(next), dir)
         };
         let mut w = Writer::new();
         spec.encode(&mut w);
         let file = bin::write_envelope(JOB_MAGIC, JOB_VERSION, &w.into_bytes());
-        let path = dir.join("job.bin");
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &file)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(JobId(next))
+        segment::replace(&dir.join("job.bin"), &file)?;
+        Ok(id)
+    }
+
+    /// The highest job id with a directory in the journal, or 0.
+    fn highest_id(&self) -> std::io::Result<u64> {
+        let mut highest = 0;
+        for entry in std::fs::read_dir(self.root.join("jobs"))? {
+            if let Some(id) = entry?.file_name().to_str().and_then(parse_job_dir) {
+                highest = highest.max(id.0);
+            }
+        }
+        Ok(highest)
     }
 
     /// Reads and fully validates job `id`'s spec, strictly: any damage is
@@ -185,10 +212,7 @@ impl JobJournal {
         let mut w = Writer::new();
         records.to_vec().encode(&mut w);
         let file = bin::write_envelope(RESULT_MAGIC, RESULT_VERSION, &w.into_bytes());
-        let path = self.job_dir(id).join("result.bin");
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &file)?;
-        std::fs::rename(&tmp, &path)
+        segment::replace(&self.job_dir(id).join("result.bin"), &file)
     }
 
     /// Whether job `id` has a recorded result.
@@ -226,9 +250,7 @@ impl JobJournal {
     pub fn jobs(&self) -> std::io::Result<Vec<JobEntry>> {
         let mut entries = Vec::new();
         for entry in std::fs::read_dir(self.root.join("jobs"))? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(id) = name.to_str().and_then(parse_job_dir) else {
+            let Some(id) = entry?.file_name().to_str().and_then(parse_job_dir) else {
                 continue;
             };
             let state = if self.has_result(id) {
@@ -353,6 +375,32 @@ mod tests {
         assert_eq!(j.jobs().unwrap().len(), 1);
         let b = j.create(&spec("after the restart")).unwrap();
         assert_eq!(b.0, a.0 + 1);
+    }
+
+    #[test]
+    fn concurrent_creates_get_consecutive_ids_and_skip_foreign_dirs() {
+        let j = JobJournal::open(scratch("concurrent")).unwrap();
+        let first = j.create(&spec("first")).unwrap();
+        let mut ids: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let j = &j;
+                    s.spawn(move || j.create(&spec(&format!("thread {t}"))).unwrap().0)
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        ids.sort_unstable();
+        assert_eq!(ids, [first.0 + 1, first.0 + 2, first.0 + 3, first.0 + 4]);
+
+        // A directory made behind the journal's back (a stale create of
+        // another handle) holds the next id: the claim loop skips it.
+        let foreign = JobId(first.0 + 5);
+        std::fs::create_dir(j.job_dir(foreign)).unwrap();
+        let next = j.create(&spec("after the foreign dir")).unwrap();
+        assert_eq!(next.0, foreign.0 + 1);
+        assert_eq!(j.load_spec(next).unwrap().name, "after the foreign dir");
+        assert!(j.load_spec(foreign).is_err(), "the foreign dir was not written to");
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod journal;
 pub mod merge;
 pub mod report;
 pub mod search_space;
+mod segment;
 pub mod sweep;
 pub mod warn;
 

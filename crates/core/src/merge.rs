@@ -39,16 +39,15 @@
 //! [`MergeReport`]. Disagreement is [`MergeError::ScenarioConflict`].
 
 use crate::evaluate::{
-    read_tier_strict, Evaluator, TierReadError, FUSE_MAGIC, FUSE_VERSION, OP_MAGIC, OP_VERSION,
+    merged, read_tier_strict, write_segment, Evaluator, Span, TierReadError, FUSE_MAGIC,
+    FUSE_VERSION, OP_MAGIC, OP_VERSION,
 };
-use crate::sweep::{
-    read_ledger_strict, CompletedScenario, LedgerFile, DIRECTIONS, SWEEP_MAGIC, SWEEP_VERSION,
-};
+use crate::segment;
+use crate::sweep::{read_ledger_strict, CompletedScenario, LedgerFile, DIRECTIONS};
 use fast_search::ParetoArchive;
 use fast_sim::{MapFailure, Mapping, OpKey};
-use serde::bin::{self, Decode, Encode, Writer};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use serde::bin::Decode;
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -154,18 +153,15 @@ fn key_preview(key: &[u8]) -> String {
 /// Atomically writes `file` (temp + rename), mapping failures to
 /// [`MergeError::Io`].
 fn write_atomic(path: &Path, file: &[u8]) -> Result<(), MergeError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, file)
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .map_err(|e| MergeError::Io(format!("{}: {e}", path.display())))
+    segment::replace(path, file).map_err(|e| MergeError::Io(format!("{}: {e}", path.display())))
 }
 
 /// Unions one tier across `paths` into `out`.
 ///
 /// Entries are decoded strictly (any damage aborts), compared by their
-/// encoded bytes, and re-written sorted by encoded key — the same canonical
-/// form [`crate::evaluate`] writes, so a union equal to a single process's
-/// entry set produces a byte-identical file.
+/// encoded bytes, and written sorted by encoded key — the same canonical
+/// segment [`crate::evaluate`] writes, so a union equal to a single
+/// process's entry set produces a byte-identical file.
 fn merge_tier<K, V>(
     paths: &[PathBuf],
     out: &Path,
@@ -174,55 +170,51 @@ fn merge_tier<K, V>(
     tier: &'static str,
 ) -> Result<(usize, usize), MergeError>
 where
-    K: Encode + Decode,
-    V: Encode + Decode,
+    K: Decode,
+    V: Decode,
 {
-    // key bytes → (value bytes, index of the shard that contributed them)
-    let mut union: BTreeMap<Vec<u8>, (Vec<u8>, usize)> = BTreeMap::new();
+    let mut runs = Vec::with_capacity(paths.len());
+    for path in paths {
+        runs.push(read_tier_strict::<K, V>(path, magic, version, tier).map_err(|e| match e {
+            TierReadError::Missing => MergeError::Snapshot(format!(
+                "{tier} tier snapshot {} does not exist (a completed worker always \
+                 leaves both tier files; exclude empty shards instead of \
+                 pointing at missing ones)",
+                path.display()
+            )),
+            TierReadError::Damaged(what) => MergeError::Snapshot(what),
+        })?);
+    }
+    // In canonical order, copies of one key sit next to each other: the
+    // first is kept, and any other must carry the same value bytes.
+    let mut union: Vec<(usize, Span)> = Vec::new();
     let mut duplicates = 0usize;
-    for (i, path) in paths.iter().enumerate() {
-        let entries: Vec<(K, V)> =
-            read_tier_strict(path, magic, version, tier).map_err(|e| match e {
-                TierReadError::Missing => MergeError::Snapshot(format!(
-                    "{tier} tier snapshot {} does not exist (a completed worker always \
-                     leaves both tier files; exclude empty shards instead of \
-                     pointing at missing ones)",
-                    path.display()
-                )),
-                TierReadError::Damaged(what) => MergeError::Snapshot(what),
-            })?;
-        for (k, v) in entries {
-            let (kb, vb) = (k.to_bytes(), v.to_bytes());
-            match union.entry(kb) {
-                Entry::Vacant(slot) => {
-                    slot.insert((vb, i));
+    for (run, span) in merged(&runs) {
+        let (key, value) = span.of(&runs[run].bytes);
+        if let Some(&(first, kept)) = union.last() {
+            let (kept_key, kept_value) = kept.of(&runs[first].bytes);
+            if kept_key == key {
+                if kept_value != value {
+                    let (a, b) = (first.min(run), first.max(run));
+                    return Err(MergeError::TierConflict {
+                        tier,
+                        detail: format!(
+                            "key {} has one value in {} and another in {}",
+                            key_preview(key),
+                            paths[a].display(),
+                            paths[b].display()
+                        ),
+                    });
                 }
-                Entry::Occupied(slot) => {
-                    let (prior, from) = slot.get();
-                    if *prior != vb {
-                        return Err(MergeError::TierConflict {
-                            tier,
-                            detail: format!(
-                                "key {} has one value in {} and another in {}",
-                                key_preview(slot.key()),
-                                paths[*from].display(),
-                                path.display()
-                            ),
-                        });
-                    }
-                    duplicates += 1;
-                }
+                duplicates += 1;
+                continue;
             }
         }
+        union.push((run, span));
     }
-    let mut payload = Writer::new();
-    payload.put_u64(union.len() as u64);
-    for (k, (v, _)) in &union {
-        payload.put_bytes(k);
-        payload.put_bytes(v);
-    }
-    write_atomic(out, &bin::write_envelope(magic, version, &payload.into_bytes()))?;
-    Ok((union.len(), duplicates))
+    let entries = union.len();
+    write_atomic(out, &write_segment(magic, version, &runs, union).bytes)?;
+    Ok((entries, duplicates))
 }
 
 /// Unions evaluation-cache snapshot pairs into one pair at `output`.
@@ -388,8 +380,7 @@ pub fn merge_sweep_checkpoints(
 
     let ledger =
         LedgerFile { fingerprint, start: 0, end: total, total, completed: completed.clone() };
-    let file = bin::write_envelope(SWEEP_MAGIC, SWEEP_VERSION, &ledger.encode_payload());
-    write_atomic(&output.join("sweep.bin"), &file)?;
+    write_atomic(&output.join("sweep.bin"), &ledger.segment(&ledger.completed))?;
 
     Ok(MergeReport {
         shards: shards.len(),

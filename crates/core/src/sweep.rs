@@ -19,6 +19,7 @@
 use crate::driver::{OptimizerKind, SeededOptimizer};
 use crate::evaluate::{Evaluator, Objective, StagedCacheStats};
 use crate::search_space::FastSpace;
+use crate::segment;
 use fast_arch::{Budget, DatapathConfig};
 use fast_models::WorkloadDomain;
 use fast_search::{
@@ -361,9 +362,13 @@ impl SweepResult {
 ///   writes. This is the expensive state: after a mid-scenario kill, the
 ///   resumed scenario re-proposes the same points (determinism contract)
 ///   and answers them from these files.
-/// * `sweep.bin` — the scenario ledger: a fingerprint of `(matrix, config)`
-///   plus a [`CompletedScenario`] record per finished scenario, rewritten
-///   atomically (temp file + rename) at every scenario boundary.
+/// * `sweep.bin` — the scenario ledger: a header (a fingerprint of
+///   `(matrix, config)` and the shard range), written atomically when the
+///   session starts, then one appended segment per finished scenario,
+///   each repeating the header and carrying that scenario's
+///   [`CompletedScenario`] record. The scenario that finishes the range
+///   replaces the file atomically by one canonical segment holding every
+///   record.
 ///
 /// A kill mid-append leaves a torn final segment, which the resume drops
 /// (keeping the whole segments before it). Any other damage, or a
@@ -397,26 +402,36 @@ pub(crate) struct LedgerFile {
 }
 
 impl LedgerFile {
-    pub(crate) fn encode_payload(&self) -> Vec<u8> {
+    /// This ledger's header with `records`, as one segment: the whole
+    /// canonical ledger when `records` is every completed record, or one
+    /// appended record.
+    pub(crate) fn segment(&self, records: &[CompletedScenario]) -> Vec<u8> {
         let mut payload = Writer::new();
         payload.put_u64(self.fingerprint);
         payload.put_u64(self.start);
         payload.put_u64(self.end);
         payload.put_u64(self.total);
-        self.completed.encode(&mut payload);
-        payload.into_bytes()
+        payload.put_u64(records.len() as u64);
+        for record in records {
+            record.encode(&mut payload);
+        }
+        bin::write_envelope(SWEEP_MAGIC, SWEEP_VERSION, &payload.into_bytes())
+    }
+
+    /// The header: the fingerprint and the shard range.
+    fn header(&self) -> (u64, u64, u64, u64) {
+        (self.fingerprint, self.start, self.end, self.total)
     }
 }
 
-/// Reads and fully validates a sweep ledger, strictly: any damage —
-/// missing file, truncation, version skew, checksum failure, trailing
-/// bytes — is an error naming the file and cause. The resume path wraps
-/// this with its degrade-to-cold policy; the merge pipeline propagates the
-/// error (a silently dropped shard ledger would un-account its scenarios).
-pub(crate) fn read_ledger_strict(path: &Path) -> Result<LedgerFile, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("sweep ledger {}: {e}", path.display()))?;
-    let payload = bin::read_envelope(SWEEP_MAGIC, SWEEP_VERSION, &bytes)
-        .map_err(|e| format!("sweep ledger {}: {e}", path.display()))?;
+/// Reads a sweep ledger and folds its segments: the first segment's
+/// header and records, then the records of each appended segment, whose
+/// header must repeat the first's. Any damage is an error naming the file
+/// and cause. A file that ends inside a segment after the first is not
+/// damage: the ledger of the whole segments comes back with what was cut.
+fn read_ledger(path: &Path) -> Result<(LedgerFile, Option<String>), String> {
+    let damaged = |what: String| format!("sweep ledger {}: {what}", path.display());
+    let bytes = std::fs::read(path).map_err(|e| damaged(e.to_string()))?;
     fn decode_ledger(r: &mut Reader<'_>) -> Result<LedgerFile, bin::DecodeError> {
         Ok(LedgerFile {
             fingerprint: r.get_u64()?,
@@ -426,22 +441,53 @@ pub(crate) fn read_ledger_strict(path: &Path) -> Result<LedgerFile, String> {
             completed: Decode::decode(r)?,
         })
     }
-    let mut r = Reader::new(payload);
-    let ledger =
-        decode_ledger(&mut r).map_err(|e| format!("sweep ledger {}: {e}", path.display()))?;
-    if !r.is_done() {
-        return Err(format!("sweep ledger {}: {} trailing bytes", path.display(), r.remaining()));
-    }
+    let mut folded: Option<LedgerFile> = None;
+    let split = segment::read(&bytes, SWEEP_MAGIC, SWEEP_VERSION, |_, payload| {
+        let mut r = Reader::new(payload);
+        let next = decode_ledger(&mut r).map_err(|e| e.to_string())?;
+        if !r.is_done() {
+            return Err(format!("{} trailing bytes", r.remaining()));
+        }
+        match &mut folded {
+            None => folded = Some(next),
+            Some(ledger) if ledger.header() == next.header() => {
+                ledger.completed.extend(next.completed);
+            }
+            Some(_) => return Err("appended record under a different header".to_string()),
+        }
+        Ok(())
+    })
+    .map_err(damaged)?;
+    let Some(ledger) = folded else {
+        return Err(damaged(format!("torn header ({} bytes)", bytes.len())));
+    };
     if ledger.start > ledger.end || ledger.end > ledger.total {
-        return Err(format!(
-            "sweep ledger {}: inconsistent shard range {}..{} of {}",
-            path.display(),
-            ledger.start,
-            ledger.end,
-            ledger.total
-        ));
+        return Err(damaged(format!(
+            "inconsistent shard range {}..{} of {}",
+            ledger.start, ledger.end, ledger.total
+        )));
     }
-    Ok(ledger)
+    let torn = split.torn.then(|| {
+        damaged(format!(
+            "torn final record at byte {} ({} bytes)",
+            split.whole_len,
+            bytes.len() - split.whole_len
+        ))
+    });
+    Ok((ledger, torn))
+}
+
+/// Reads and fully validates a sweep ledger, strictly: any damage —
+/// missing file, truncation (a torn final record included), version skew,
+/// checksum failure, trailing bytes — is an error naming the file and
+/// cause. The resume path reads with its degrade-to-cold policy instead;
+/// the merge pipeline propagates the error (a silently dropped shard
+/// ledger would un-account its scenarios).
+pub(crate) fn read_ledger_strict(path: &Path) -> Result<LedgerFile, String> {
+    match read_ledger(path)? {
+        (_, Some(torn)) => Err(torn),
+        (ledger, None) => Ok(ledger),
+    }
 }
 
 impl Checkpointer {
@@ -473,12 +519,10 @@ impl Checkpointer {
         self.dir.join("sweep.bin")
     }
 
-    /// Atomically rewrites the scenario ledger.
-    pub(crate) fn save_ledger(&self, ledger: &LedgerFile) {
-        let file = bin::write_envelope(SWEEP_MAGIC, SWEEP_VERSION, &ledger.encode_payload());
+    /// Atomically replaces the scenario ledger by `segment`.
+    fn save_ledger(&self, segment: &[u8]) {
         let path = self.sweep_path();
-        let tmp = path.with_extension("tmp");
-        if let Err(e) = std::fs::write(&tmp, &file).and_then(|()| std::fs::rename(&tmp, &path)) {
+        if let Err(e) = segment::replace(&path, segment) {
             crate::warn::warning(format_args!(
                 "could not write sweep ledger {}: {e}",
                 path.display()
@@ -486,11 +530,26 @@ impl Checkpointer {
         }
     }
 
+    /// Appends one record's `segment` to the scenario ledger. A failed
+    /// append warns and is cut back off the file; the record is then
+    /// missing from the ledger until the range's end rewrites it whole.
+    fn append_ledger(&self, segment: &[u8]) {
+        let path = self.sweep_path();
+        if let Err(e) = segment::append(&path, segment) {
+            crate::warn::warning(format_args!(
+                "could not append to sweep ledger {}: {e}",
+                path.display()
+            ));
+        }
+    }
+
     /// Loads the ledger if it exists, is intact, and matches `fingerprint`
-    /// and the shard `range` (of `total` scenarios). Anything else — a
-    /// missing file, corruption, a ledger from a different matrix/config,
-    /// or one written by a different shard — yields an empty ledger (with a
-    /// logged warning when the file existed but was unusable).
+    /// and the shard `range` (of `total` scenarios). A ledger that ends
+    /// inside its last record — a process killed mid-append — keeps the
+    /// records before it, with a warning. Anything else — a missing file,
+    /// corruption, a ledger from a different matrix/config, or one written
+    /// by a different shard — yields an empty ledger (with a logged
+    /// warning when the file existed but was unusable).
     fn load_ledger(
         &self,
         fingerprint: u64,
@@ -505,8 +564,8 @@ impl Checkpointer {
             crate::warn::warning(format_args!("sweep ledger ignored — {what}"));
             Vec::new()
         };
-        let ledger = match read_ledger_strict(&path) {
-            Ok(l) => l,
+        let (ledger, torn) = match read_ledger(&path) {
+            Ok(read) => read,
             Err(e) => return reject(e),
         };
         if ledger.fingerprint != fingerprint {
@@ -526,6 +585,12 @@ impl Checkpointer {
                 ledger.total,
                 range.start,
                 range.end,
+            ));
+        }
+        if let Some(what) = torn {
+            crate::warn::warning(format_args!(
+                "sweep ledger cut short — {what}; kept the {} records before it",
+                ledger.completed.len()
             ));
         }
         ledger.completed
@@ -747,10 +812,10 @@ impl SweepRunner {
 
     /// [`SweepRunner::run`], saving checkpoints as it goes: each round that
     /// computed something new appends it to the evaluation-cache files,
-    /// each scenario boundary rewrites the ledger, and the finished sweep
-    /// seals the cache files into one segment each. The sweep result is
-    /// identical to [`SweepRunner::run`]'s; the process merely becomes
-    /// killable.
+    /// each scenario boundary appends its record to the ledger, and the
+    /// finished sweep seals the ledger and the cache files into one segment
+    /// each. The sweep result is identical to [`SweepRunner::run`]'s; the
+    /// process merely becomes killable.
     #[must_use]
     pub fn run_checkpointed(&self, ck: &Checkpointer) -> SweepResult {
         self.run_impl(None, Some(ck), false, None, None, None)
@@ -893,8 +958,10 @@ impl SweepRunner {
 
         let fingerprint = self.fingerprint();
         let mut ledger: HashMap<String, CompletedScenario> = HashMap::new();
+        let mut cache = None;
         if let Some(ck) = ck {
-            let report = proto.attach_eval_cache(&ck.cache_path(), resume);
+            let (checkpoint, report) = proto.attach_eval_cache(&ck.cache_path(), resume);
+            cache = Some(checkpoint);
             if report.loaded() > 0 {
                 crate::warn::note(format_args!(
                     "resuming: {} cached results loaded from {} ({} op-tier, {} fuse-tier)",
@@ -912,22 +979,20 @@ impl SweepRunner {
                     .collect();
             }
         }
-        let mut completed: Vec<CompletedScenario> = Vec::new();
-        let save_ledger = |completed: &[CompletedScenario]| {
-            if let Some(ck) = ck {
-                ck.save_ledger(&LedgerFile {
-                    fingerprint,
-                    start: range.start as u64,
-                    end: range.end as u64,
-                    total: total as u64,
-                    completed: completed.to_vec(),
-                });
-            }
+        // The ledger this session writes. Its (empty) header goes out up
+        // front so even a shard killed before its first scenario boundary —
+        // or one whose range is empty — leaves a header attesting which
+        // slice of the matrix it owns.
+        let mut written = LedgerFile {
+            fingerprint,
+            start: range.start as u64,
+            end: range.end as u64,
+            total: total as u64,
+            completed: Vec::new(),
         };
-        // Write the (empty) ledger up front so even a shard killed before
-        // its first scenario boundary — or one whose range is empty — leaves
-        // a header attesting which slice of the matrix it owns.
-        save_ledger(&completed);
+        if let Some(ck) = ck {
+            ck.save_ledger(&written.segment(&[]));
+        }
 
         let n = limit.map_or(range.len(), |l| l.min(range.len()));
 
@@ -966,8 +1031,8 @@ impl SweepRunner {
                     .collect();
                 // Round boundary: append newly-computed results so a kill
                 // mid-scenario only re-pays this round's proposals.
-                if let Some(ck) = ck {
-                    evaluator.save_eval_cache_if_new(&ck.cache_path());
+                if let Some(cache) = cache.as_mut() {
+                    cache.append(&evaluator);
                 }
                 points.iter().map(|p| scored[index_of[p]].clone()).collect::<Vec<_>>()
             };
@@ -1072,9 +1137,16 @@ impl SweepRunner {
             if let Some(obs) = observer.as_deref_mut() {
                 obs(&SweepEvent::ScenarioFinished { index, record: record.clone(), staged });
             }
-            if ck.is_some() {
-                completed.push(record);
-                save_ledger(&completed);
+            if let Some(ck) = ck {
+                written.completed.push(record);
+                if written.completed.len() == range.len() {
+                    // The range is finished: the canonical one-segment
+                    // ledger replaces the appended records.
+                    ck.save_ledger(&written.segment(&written.completed));
+                } else {
+                    let last = written.completed.len() - 1;
+                    ck.append_ledger(&written.segment(&written.completed[last..]));
+                }
             }
 
             scenarios.push(ScenarioResult {
@@ -1088,10 +1160,10 @@ impl SweepRunner {
             });
         }
 
-        if let (Some(ck), None) = (ck, limit) {
+        if let (Some(cache), None) = (cache, limit) {
             // The range is finished: one canonical segment per tier file. A
             // time-boxed prefix run stands in for a kill and stays unsealed.
-            Evaluator::seal_eval_cache(&ck.cache_path());
+            cache.seal();
         }
         SweepResult {
             scenarios,
@@ -1245,6 +1317,94 @@ mod tests {
                 s.staged.fuse
             );
         }
+    }
+
+    /// The ledger segments of the file at `path`.
+    fn ledger_segments(path: &Path) -> usize {
+        let bytes = std::fs::read(path).unwrap();
+        segment::read(&bytes, SWEEP_MAGIC, SWEEP_VERSION, |_, _| Ok(())).unwrap().segments
+    }
+
+    #[test]
+    fn prefix_ledger_appends_records_and_resume_cross_checks_each() {
+        let matrix = tiny_matrix();
+        let config = SweepConfig { trials: 16, batch: 4, ..SweepConfig::default() };
+        let full = Checkpointer::new(scratch_dir("ledger-full")).unwrap();
+        let _ = SweepRunner::new(matrix.clone(), config.clone()).run_checkpointed(&full);
+        assert_eq!(ledger_segments(&full.sweep_path()), 1, "a finished range is one segment");
+
+        // A prefix run leaves its header and one appended record per
+        // finished scenario.
+        let ck = Checkpointer::new(scratch_dir("ledger-prefix")).unwrap();
+        let _ = SweepRunner::new(matrix.clone(), config.clone()).run_prefix(&ck, 3);
+        assert_eq!(ledger_segments(&ck.sweep_path()), 4);
+        let ledger = read_ledger_strict(&ck.sweep_path()).unwrap();
+        assert_eq!(ledger.header().1..ledger.header().2, 0..4);
+        let recorded = ledger.completed.clone();
+        assert_eq!(recorded, read_ledger_strict(&full.sweep_path()).unwrap().completed[..3]);
+
+        // Mutate every appended record: the resume cross-checks each one.
+        let mut mutated = ledger.segment(&[]);
+        for record in &recorded {
+            let record =
+                CompletedScenario { invalid_trials: record.invalid_trials + 1, ..record.clone() };
+            mutated.extend(ledger.segment(std::slice::from_ref(&record)));
+        }
+        std::fs::write(ck.sweep_path(), mutated).unwrap();
+        let (_, lines) =
+            crate::warn::capture(|| SweepRunner::new(matrix.clone(), config.clone()).resume(&ck));
+        let diverged: Vec<&String> =
+            lines.iter().filter(|l| l.contains("diverged from its checkpoint record")).collect();
+        assert_eq!(diverged.len(), recorded.len(), "{lines:?}");
+        for (line, record) in diverged.iter().zip(&recorded) {
+            assert!(line.contains(&record.name), "{line}");
+        }
+
+        // The finished resume sealed the ledger to the uninterrupted bytes.
+        for file in ["sweep.bin", "eval_cache.bin", "eval_cache.op.bin"] {
+            assert!(
+                std::fs::read(ck.dir().join(file)).unwrap()
+                    == std::fs::read(full.dir().join(file)).unwrap(),
+                "{file} differs from the uninterrupted run's"
+            );
+        }
+    }
+
+    #[test]
+    fn ledger_cut_inside_its_last_record_keeps_the_records_before_it() {
+        let matrix = tiny_matrix();
+        let config = SweepConfig { trials: 16, batch: 4, ..SweepConfig::default() };
+        let ck = Checkpointer::new(scratch_dir("ledger-torn")).unwrap();
+        let runner = SweepRunner::new(matrix.clone(), config.clone());
+        let _ = runner.run_prefix(&ck, 3);
+        let bytes = std::fs::read(ck.sweep_path()).unwrap();
+        std::fs::write(ck.sweep_path(), &bytes[..bytes.len() - 5]).unwrap();
+
+        let (kept, lines) =
+            crate::warn::capture(|| ck.load_ledger(runner.fingerprint(), &(0..4), 4));
+        assert_eq!(kept.len(), 2, "the whole records before the cut survive");
+        assert!(
+            lines.len() == 1
+                && lines[0].contains("sweep ledger cut short")
+                && lines[0].contains("torn"),
+            "{lines:?}"
+        );
+        match crate::merge_sweep_checkpoints(
+            &[ck.dir().to_path_buf()],
+            &scratch_dir("ledger-torn-out"),
+        ) {
+            Err(crate::MergeError::Ledger(what)) => {
+                assert!(what.contains("torn") && what.contains("sweep.bin"), "{what}");
+            }
+            other => panic!("a torn ledger must be a hard merge error, got {other:?}"),
+        }
+
+        let expected = SweepRunner::new(matrix.clone(), config.clone()).run();
+        let resumed = SweepRunner::new(matrix, config).resume(&ck);
+        for (a, b) in expected.scenarios.iter().zip(&resumed.scenarios) {
+            assert_eq!(a.frontier_points, b.frontier_points, "{}", a.scenario.name);
+        }
+        assert_eq!(read_ledger_strict(&ck.sweep_path()).unwrap().completed.len(), 4);
     }
 
     #[test]

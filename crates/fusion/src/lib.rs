@@ -1033,6 +1033,39 @@ struct IlpVars {
     t: Vec<VarId>,
 }
 
+impl IlpVars {
+    /// The solver vector of `placements`: each eligible binary at its
+    /// placement bit, each region's time at its time under those
+    /// placements, every other variable 0.
+    fn warm_start(
+        &self,
+        prob: &Problem,
+        regions: &[RegionPerf],
+        placements: &[Placement],
+    ) -> Vec<f64> {
+        let mut ws = vec![0.0; prob.num_vars()];
+        for (i, p) in placements.iter().enumerate() {
+            if let Some(v) = self.p_in[i] {
+                ws[v.index()] = f64::from(u8::from(p.input_gm));
+            }
+            if let Some(v) = self.p_out[i] {
+                ws[v.index()] = f64::from(u8::from(p.output_gm));
+            }
+            if let Some(v) = self.p_w[i] {
+                ws[v.index()] = f64::from(u8::from(p.weight_gm));
+            }
+        }
+        for (i, r) in regions.iter().enumerate() {
+            ws[self.t[i].index()] = r.time_with_placements(
+                placements[i].input_gm,
+                placements[i].output_gm,
+                placements[i].weight_gm,
+            );
+        }
+        ws
+    }
+}
+
 fn build_ilp(
     regions: &[RegionPerf],
     label: &str,
@@ -1245,6 +1278,34 @@ pub fn fuse_regions_totals(
     FusionTotals::of(regions, compute_seconds, &placements)
 }
 
+/// Which solve Stage C runs, with the eligibility it runs over.
+enum Route {
+    /// Fusion is off for this call: nothing is placed in GM.
+    Disabled,
+    /// The greedy warm start is the answer.
+    Heuristic(Vec<Eligibility>),
+    /// The Figure-8 ILP runs, seeded with the greedy warm start: there are
+    /// eligible binaries, and no more than `opts.exact_binary_limit`.
+    Exact(Vec<Eligibility>),
+}
+
+/// Stage C's gate, shared by [`place`] and [`figure8_problem`].
+fn route(regions: &[RegionPerf], gm_bytes: u64, opts: &FusionOptions) -> Route {
+    if opts.disabled || gm_bytes == 0 || regions.is_empty() {
+        return Route::Disabled;
+    }
+    let elig = eligibility(regions, opts.residency_window.max(1));
+    let n_binaries: usize = elig
+        .iter()
+        .map(|e| usize::from(e.input) + usize::from(e.output) + usize::from(e.weight))
+        .sum();
+    if n_binaries > 0 && n_binaries <= opts.exact_binary_limit {
+        Route::Exact(elig)
+    } else {
+        Route::Heuristic(elig)
+    }
+}
+
 /// Stage C's one solve path: the placements and how they were found.
 fn place(
     regions: &[RegionPerf],
@@ -1253,19 +1314,13 @@ fn place(
     label: &str,
     tier: Option<&WarmStartTier>,
 ) -> (Vec<Placement>, FusionSolver) {
-    if opts.disabled || gm_bytes == 0 || regions.is_empty() {
-        return (vec![Placement::default(); regions.len()], FusionSolver::Disabled);
-    }
-    let elig = eligibility(regions, opts.residency_window.max(1));
-    let warm = greedy(regions, gm_bytes, &elig);
-    let n_binaries: usize = elig
-        .iter()
-        .map(|e| usize::from(e.input) + usize::from(e.output) + usize::from(e.weight))
-        .sum();
-    if n_binaries > 0 && n_binaries <= opts.exact_binary_limit {
-        solve_exact(regions, label, gm_bytes, opts, &elig, &warm, tier)
-    } else {
-        (warm, FusionSolver::Heuristic)
+    match route(regions, gm_bytes, opts) {
+        Route::Disabled => (vec![Placement::default(); regions.len()], FusionSolver::Disabled),
+        Route::Heuristic(elig) => (greedy(regions, gm_bytes, &elig), FusionSolver::Heuristic),
+        Route::Exact(elig) => {
+            let warm = greedy(regions, gm_bytes, &elig);
+            solve_exact(regions, label, gm_bytes, opts, &elig, &warm, tier)
+        }
     }
 }
 
@@ -1284,29 +1339,7 @@ fn solve_exact(
 ) -> (Vec<Placement>, FusionSolver) {
     let n = regions.len();
     let (prob, vars) = build_ilp(regions, label, gm_bytes, elig);
-
-    let ws_of = |placements: &[Placement]| -> Vec<f64> {
-        let mut ws = vec![0.0; prob.num_vars()];
-        for (i, p) in placements.iter().enumerate() {
-            if let Some(v) = vars.p_in[i] {
-                ws[v.index()] = f64::from(u8::from(p.input_gm));
-            }
-            if let Some(v) = vars.p_out[i] {
-                ws[v.index()] = f64::from(u8::from(p.output_gm));
-            }
-            if let Some(v) = vars.p_w[i] {
-                ws[v.index()] = f64::from(u8::from(p.weight_gm));
-            }
-        }
-        for (i, r) in regions.iter().enumerate() {
-            ws[vars.t[i].index()] = r.time_with_placements(
-                placements[i].input_gm,
-                placements[i].output_gm,
-                placements[i].weight_gm,
-            );
-        }
-        ws
-    };
+    let ws_of = |placements: &[Placement]| vars.warm_start(&prob, regions, placements);
     let solve_opts = |seed: Vec<f64>| SolveOptions {
         max_nodes: opts.max_nodes,
         // Fusion opts in to the wall-clock escape hatch: this mirrors the
@@ -1413,35 +1446,10 @@ pub fn figure8_problem(
     opts: &FusionOptions,
     label: &str,
 ) -> Option<(Problem, Vec<f64>)> {
-    if opts.disabled || gm_bytes == 0 || regions.is_empty() {
-        return None;
-    }
-    let elig = eligibility(regions, opts.residency_window.max(1));
-    let n_binaries: usize = elig
-        .iter()
-        .map(|e| usize::from(e.input) + usize::from(e.output) + usize::from(e.weight))
-        .sum();
-    if n_binaries == 0 || n_binaries > opts.exact_binary_limit {
-        return None;
-    }
+    let Route::Exact(elig) = route(regions, gm_bytes, opts) else { return None };
     let warm = greedy(regions, gm_bytes, &elig);
     let (prob, vars) = build_ilp(regions, label, gm_bytes, &elig);
-    let mut ws = vec![0.0; prob.num_vars()];
-    for (i, p) in warm.iter().enumerate() {
-        if let Some(v) = vars.p_in[i] {
-            ws[v.index()] = f64::from(u8::from(p.input_gm));
-        }
-        if let Some(v) = vars.p_out[i] {
-            ws[v.index()] = f64::from(u8::from(p.output_gm));
-        }
-        if let Some(v) = vars.p_w[i] {
-            ws[v.index()] = f64::from(u8::from(p.weight_gm));
-        }
-    }
-    for (i, r) in regions.iter().enumerate() {
-        ws[vars.t[i].index()] =
-            r.time_with_placements(warm[i].input_gm, warm[i].output_gm, warm[i].weight_gm);
-    }
+    let ws = vars.warm_start(&prob, regions, &warm);
     Some((prob, ws))
 }
 
