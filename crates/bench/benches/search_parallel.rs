@@ -1,8 +1,8 @@
-//! Criterion bench: the sequential vs rayon-parallel FAST search driver on
+//! Criterion bench: the batched vs rayon-parallel FAST search driver on
 //! the acceptance workload — a 64-trial random-search study — plus the
 //! evaluation cache's effect on a repeated study.
 //!
-//! Before timing anything it asserts the determinism contract: sequential
+//! Before timing anything it asserts the determinism contract: batched
 //! and parallel drivers must report the identical best objective.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,7 +10,7 @@ use fast_arch::Budget;
 use fast_core::{Evaluator, Execution, FastStudy, Objective, OptimizerKind, SearchReport};
 use fast_models::{EfficientNet, Workload};
 
-/// Round size shared by the sequential and parallel studies.
+/// Round size shared by the batched and parallel studies.
 const BATCH: usize = 16;
 
 fn run_search(e: &Evaluator, execution: Execution) -> SearchReport {
@@ -22,7 +22,7 @@ fn run_search(e: &Evaluator, execution: Execution) -> SearchReport {
         .expect("valid study configuration")
 }
 
-fn sequential(e: &Evaluator) -> SearchReport {
+fn batched(e: &Evaluator) -> SearchReport {
     run_search(e, Execution::Batched { batch_size: BATCH })
 }
 
@@ -70,17 +70,17 @@ fn assert_speedup_if_requested(e: &Evaluator) {
             })
             .fold(f64::INFINITY, f64::min)
     };
-    let seq = best_of(&|| {
-        let _ = sequential(&e.fresh_eval_cache());
+    let bat = best_of(&|| {
+        let _ = batched(&e.fresh_eval_cache());
     });
     let par = best_of(&|| {
         let _ = parallel(&e.fresh_eval_cache());
     });
-    let speedup = seq / par;
+    let speedup = bat / par;
     println!(
-        "FAST_ASSERT_SPEEDUP: sequential {:.1} ms, parallel {:.1} ms -> {speedup:.2}x \
+        "FAST_ASSERT_SPEEDUP: batched {:.1} ms, parallel {:.1} ms -> {speedup:.2}x \
          on {threads} threads (need {need:.2}x)",
-        seq * 1e3,
+        bat * 1e3,
         par * 1e3,
     );
     assert!(speedup >= need, "parallel driver too slow: {speedup:.2}x < required {need:.2}x");
@@ -91,11 +91,11 @@ fn bench_search(c: &mut Criterion) {
 
     // Warm the immutable workload-graph cache so both sides time trials, not
     // graph construction, then pin down the determinism guarantee.
-    let seq = sequential(&e.fresh_eval_cache());
+    let bat = batched(&e.fresh_eval_cache());
     let par = parallel(&e.fresh_eval_cache());
     assert_eq!(
-        seq.study.best_objective, par.study.best_objective,
-        "sequential and parallel drivers diverged — determinism contract broken"
+        bat.study.best_objective, par.study.best_objective,
+        "batched and parallel drivers diverged — determinism contract broken"
     );
     assert_speedup_if_requested(&e);
     if std::env::var("FAST_SPEEDUP_ONLY").is_ok() {
@@ -108,8 +108,8 @@ fn bench_search(c: &mut Criterion) {
     group.sample_size(10);
     // Each iteration gets a fresh evaluation cache: we are measuring the
     // driver, not the memoization table.
-    group.bench_with_input(BenchmarkId::from_parameter("sequential"), &e, |b, e| {
-        b.iter(|| sequential(&e.fresh_eval_cache()))
+    group.bench_with_input(BenchmarkId::from_parameter("batched"), &e, |b, e| {
+        b.iter(|| batched(&e.fresh_eval_cache()))
     });
     group.bench_with_input(BenchmarkId::from_parameter("parallel"), &e, |b, e| {
         b.iter(|| parallel(&e.fresh_eval_cache()))

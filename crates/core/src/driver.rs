@@ -10,8 +10,8 @@ use crate::evaluate::{DesignEval, Evaluator, Objective, StagedCacheStats};
 use crate::search_space::FastSpace;
 use fast_arch::DatapathConfig;
 use fast_search::{
-    Durability, Execution, Fidelity, LcsSwarm, Optimizer, OptimizerState, RandomSearch, Study,
-    StudyConfigError, StudyEval, StudyReport, Tpe, Trial, TrialResult,
+    Durability, Execution, Fidelity, LcsSwarm, Optimizer, OptimizerState, RandomSearch, Screener,
+    Study, StudyConfigError, StudyEval, StudyReport, Tpe, Trial, TrialResult,
 };
 use fast_sim::SimOptions;
 use fast_surrogate::{GuideMetric, SurrogateScreener};
@@ -68,8 +68,6 @@ impl OptimizerKind {
     }
 }
 
-// Tags match `SweepRunner::fingerprint`'s historical encoding of the
-// optimizer axis, so the two stay mutually consistent.
 impl serde::bin::Encode for OptimizerKind {
     fn encode(&self, w: &mut serde::bin::Writer) {
         w.put_u8(match self {
@@ -154,42 +152,6 @@ impl Optimizer for SeededOptimizer {
     }
 }
 
-/// Configuration of one FAST search run.
-#[derive(Debug, Clone)]
-pub struct SearchConfig {
-    /// Trial budget (the paper runs 5000; the bench harness uses fewer).
-    pub trials: usize,
-    /// Optimizer choice.
-    pub optimizer: OptimizerKind,
-    /// RNG seed (runs are reproducible per seed).
-    pub seed: u64,
-    /// Known-good design points proposed first (may be empty).
-    pub seeds: Vec<(DatapathConfig, SimOptions)>,
-    /// Trials proposed and evaluated per round. The default of `1` is the
-    /// classic propose→evaluate→observe loop (per-trial observation,
-    /// matching the paper's sequential Vizier methodology); larger batches
-    /// let [`Execution::Parallel`] fan a round out across cores at the
-    /// cost of optimizers observing a whole round at once. The study outcome
-    /// depends on the batch size but never on how a round's evaluations are
-    /// executed.
-    pub batch: usize,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            trials: 400,
-            optimizer: OptimizerKind::Lcs,
-            seed: 0,
-            seeds: vec![
-                (fast_arch::presets::fast_large(), SimOptions::default()),
-                (fast_arch::presets::fast_small(), SimOptions::default()),
-            ],
-            batch: 1,
-        }
-    }
-}
-
 /// Outcome of a [`FastStudy`] run: the unified [`StudyReport`] (trials,
 /// convergence, optional frontier, checkpoint info) plus the decoded best
 /// design, the explored-space size, and this run's evaluation-cache share.
@@ -258,18 +220,22 @@ pub struct FastStudy<'e> {
 
 impl<'e> FastStudy<'e> {
     /// A study of `trials` evaluations scored by `evaluator`, with the
-    /// historical driver defaults: LCS, seed 0, the published presets as
-    /// seed designs, `Batched { batch_size: 1 }`, ephemeral.
+    /// historical driver defaults: LCS, seed 0, the published presets
+    /// (FAST-Large, FAST-Small) as seed designs, `Batched { batch_size: 1 }`
+    /// (the paper's one-trial-at-a-time Vizier loop), exact fidelity,
+    /// ephemeral.
     #[must_use]
     pub fn new(evaluator: &'e Evaluator, trials: usize) -> Self {
-        let defaults = SearchConfig::default();
         FastStudy {
             evaluator,
             trials,
-            optimizer: defaults.optimizer,
-            seed: defaults.seed,
-            seed_designs: defaults.seeds,
-            execution: Execution::Batched { batch_size: defaults.batch },
+            optimizer: OptimizerKind::Lcs,
+            seed: 0,
+            seed_designs: vec![
+                (fast_arch::presets::fast_large(), SimOptions::default()),
+                (fast_arch::presets::fast_small(), SimOptions::default()),
+            ],
+            execution: Execution::Batched { batch_size: 1 },
             durability: Durability::Ephemeral,
             fidelity: Fidelity::Exact,
         }
@@ -364,40 +330,18 @@ impl<'e> FastStudy<'e> {
             }
             scored
         };
-        // Under Fidelity::Screened the surrogate tier mirrors this study's
-        // evaluator exactly: same workloads, same objective, and a decode
-        // closure applying the same validity + budget gate, so surrogate
-        // ranks compare the population the simulator would see.
-        let mut screener = match self.fidelity {
-            Fidelity::Exact => None,
-            Fidelity::Screened { tier, .. } => {
-                let decode_space = space.clone();
-                let budget = *self.evaluator.budget();
-                let metric = match self.evaluator.objective() {
-                    Objective::Qps => GuideMetric::Qps,
-                    Objective::PerfPerTdp => GuideMetric::PerfPerTdp,
-                };
-                Some(SurrogateScreener::new(
-                    tier,
-                    metric,
-                    self.evaluator.workloads().to_vec(),
-                    Box::new(move |p: &[usize]| {
-                        let (cfg, _sim) = decode_space.decode(p);
-                        cfg.validate().ok()?;
-                        budget.admits(&cfg).then_some(cfg)
-                    }),
-                ))
-            }
-        };
-        let builder = Study::new(space.space(), self.trials)
+        let mut screener = surrogate_screener(self.fidelity, self.evaluator, &space);
+        let study = Study::new(space.space(), self.trials)
             .seed(self.seed)
             .fidelity(self.fidelity)
             .execution(self.execution)
-            .durability(self.durability.clone());
-        let study = match screener.as_mut() {
-            Some(sc) => builder.run_screened(&mut opt, StudyEval::batch(&mut eval_round), sc)?,
-            None => builder.run(&mut opt, StudyEval::batch(&mut eval_round))?,
-        };
+            .durability(self.durability.clone())
+            .run_with(
+                &mut opt,
+                StudyEval::batch(&mut eval_round),
+                screener.as_mut().map(|sc| sc as &mut dyn Screener),
+                None,
+            )?;
 
         let best =
             study.best_point.as_ref().and_then(|p| self.evaluator.evaluate_point(&space, p).ok());
@@ -414,6 +358,35 @@ impl<'e> FastStudy<'e> {
             staged: self.evaluator.staged_cache_stats().since(&staged_before),
         })
     }
+}
+
+/// The surrogate tier of a [`Fidelity::Screened`] study scored by
+/// `evaluator` (`None` under [`Fidelity::Exact`]). It mirrors the evaluator
+/// exactly — same workloads, same objective, and a decode closure applying
+/// the same validity + budget gate — so surrogate ranks compare the
+/// population the simulator would see.
+pub(crate) fn surrogate_screener(
+    fidelity: Fidelity,
+    evaluator: &Evaluator,
+    space: &FastSpace,
+) -> Option<SurrogateScreener> {
+    let Fidelity::Screened { tier, .. } = fidelity else { return None };
+    let decode_space = space.clone();
+    let budget = *evaluator.budget();
+    let metric = match evaluator.objective() {
+        Objective::Qps => GuideMetric::Qps,
+        Objective::PerfPerTdp => GuideMetric::PerfPerTdp,
+    };
+    Some(SurrogateScreener::new(
+        tier,
+        metric,
+        evaluator.workloads().to_vec(),
+        Box::new(move |p: &[usize]| {
+            let (cfg, _sim) = decode_space.decode(p);
+            cfg.validate().ok()?;
+            budget.admits(&cfg).then_some(cfg)
+        }),
+    ))
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub use analysis::{
     ablation_study, ablation_variants, ablation_workloads, component_breakdown,
     frontier_hypervolume, hypervolume_3d, kendall_tau, spearman_rank, AblationRow, BreakdownRow,
 };
-pub use driver::{FastStudy, OptimizerKind, SearchConfig, SearchReport};
+pub use driver::{FastStudy, OptimizerKind, SearchReport};
 // The unified study axes, re-exported so driver callers need one import.
 pub use evaluate::{
     CacheLoadReport, CacheStats, DesignEval, EvalError, Evaluator, Objective, SolverStats,

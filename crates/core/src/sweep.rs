@@ -16,18 +16,17 @@
 //! `(matrix, config)` alone, and evaluating rounds in parallel cannot change
 //! any frontier.
 
-use crate::driver::{OptimizerKind, SeededOptimizer};
+use crate::driver::{surrogate_screener, OptimizerKind, SeededOptimizer};
 use crate::evaluate::{Evaluator, Objective, StagedCacheStats};
 use crate::search_space::FastSpace;
 use crate::segment;
 use fast_arch::{Budget, DatapathConfig};
 use fast_models::WorkloadDomain;
 use fast_search::{
-    Execution, Fidelity, FidelityReport, FrontierPoint, MetricDirection, MultiObjective, Study,
-    StudyEval, StudyObjective,
+    Execution, Fidelity, FidelityReport, FrontierPoint, MetricDirection, MultiObjective, Screener,
+    Study, StudyEval, StudyObjective, StudyProgress,
 };
 use fast_sim::SimOptions;
-use fast_surrogate::{GuideMetric, SurrogateScreener};
 use rayon::prelude::*;
 use serde::bin::{self, Decode, Encode, Reader, Writer};
 use serde::{Deserialize, Serialize};
@@ -196,10 +195,10 @@ pub struct SweepConfig {
     /// Evaluation fidelity of every scenario's study. [`Fidelity::Exact`]
     /// (the default) fully simulates every proposal — bit-identical to a
     /// sweep built before this axis existed. [`Fidelity::Screened`] ranks
-    /// each round with a per-scenario [`SurrogateScreener`] (built from the
-    /// scenario's workloads, objective and budget) and only the top
-    /// fraction reaches the simulator; frontiers still contain only fully
-    /// simulated points.
+    /// each round with a per-scenario
+    /// [`fast_surrogate::SurrogateScreener`] (built from the scenario's
+    /// workloads, objective and budget) and only the top fraction reaches
+    /// the simulator; frontiers still contain only fully simulated points.
     pub fidelity: Fidelity,
 }
 
@@ -906,11 +905,7 @@ impl SweepRunner {
             domain.encode(&mut w);
         }
         self.config.trials.encode(&mut w);
-        w.put_u8(match self.config.optimizer {
-            OptimizerKind::Random => 0,
-            OptimizerKind::Lcs => 1,
-            OptimizerKind::Tpe => 2,
-        });
+        self.config.optimizer.encode(&mut w);
         self.config.seed.encode(&mut w);
         self.config.batch.encode(&mut w);
         for (cfg, sim) in &self.config.seeds {
@@ -1039,58 +1034,33 @@ impl SweepRunner {
             // Under Fidelity::Screened every scenario gets its own surrogate
             // tier, built from *its* workloads, objective and budget — the
             // S1 model of one scenario must never leak into another's.
-            let mut screener = match self.config.fidelity {
-                Fidelity::Exact => None,
-                Fidelity::Screened { tier, .. } => {
-                    let decode_space = space.clone();
-                    let budget = scenario.budget;
-                    let metric = match scenario.objective {
-                        Objective::Qps => GuideMetric::Qps,
-                        Objective::PerfPerTdp => GuideMetric::PerfPerTdp,
-                    };
-                    Some(SurrogateScreener::new(
-                        tier,
-                        metric,
-                        scenario.domain.workloads.clone(),
-                        Box::new(move |p: &[usize]| {
-                            let (cfg, _sim) = decode_space.decode(p);
-                            cfg.validate().ok()?;
-                            budget.admits(&cfg).then_some(cfg)
-                        }),
-                    ))
+            let mut screener = surrogate_screener(self.config.fidelity, &evaluator, &space);
+            let name = &scenario.name;
+            let mut on_round = observer.as_deref_mut().map(|obs| {
+                move |p: &StudyProgress| {
+                    obs(&SweepEvent::Round {
+                        index,
+                        name: name.clone(),
+                        trials_done: p.trials_done,
+                        total_trials: p.total_trials,
+                        best_objective: p.best_objective,
+                        frontier_size: p.frontier_size.unwrap_or(0),
+                        full_evals: p.full_evals,
+                    });
                 }
-            };
-            let scenario_name = scenario.name.clone();
-            let study = Study::new(space.space(), self.config.trials)
+            });
+            let report = Study::new(space.space(), self.config.trials)
                 .seed(self.config.seed)
                 .objective(StudyObjective::pareto(&DIRECTIONS))
                 .fidelity(self.config.fidelity)
-                .execution(Execution::Batched { batch_size: self.config.batch.max(1) });
-            let eval = StudyEval::batch(&mut evaluate_round);
-            let report = match observer.as_deref_mut() {
-                Some(obs) => {
-                    let mut on_round = |p: &fast_search::StudyProgress| {
-                        obs(&SweepEvent::Round {
-                            index,
-                            name: scenario_name.clone(),
-                            trials_done: p.trials_done,
-                            total_trials: p.total_trials,
-                            best_objective: p.best_objective,
-                            frontier_size: p.frontier_size.unwrap_or(0),
-                            full_evals: p.full_evals,
-                        });
-                    };
-                    match screener.as_mut() {
-                        Some(sc) => study.run_screened_observed(&mut opt, eval, sc, &mut on_round),
-                        None => study.run_observed(&mut opt, eval, &mut on_round),
-                    }
-                }
-                None => match screener.as_mut() {
-                    Some(sc) => study.run_screened(&mut opt, eval, sc),
-                    None => study.run(&mut opt, eval),
-                },
-            };
-            let report = report.expect("the sweep's study axes are always valid");
+                .execution(Execution::Batched { batch_size: self.config.batch.max(1) })
+                .run_with(
+                    &mut opt,
+                    StudyEval::batch(&mut evaluate_round),
+                    screener.as_mut().map(|sc| sc as &mut dyn Screener),
+                    on_round.as_mut().map(|f| f as &mut dyn FnMut(&StudyProgress)),
+                )
+                .expect("the sweep's study axes are always valid");
             let fidelity = report.fidelity.clone();
             let study = report.into_pareto_result();
             let staged = evaluator.staged_cache_stats().since(&staged_before);

@@ -10,9 +10,9 @@
 //! * [`Study::objective`] — [`StudyObjective::Single`] (the scalar incumbent
 //!   study) or [`StudyObjective::Pareto`] (a [`ParetoArchive`] over ≥ 2
 //!   metric directions);
-//! * [`Study::execution`] — [`Execution::Sequential`] (one shared RNG, the
-//!   classic propose→evaluate→observe loop), [`Execution::Batched`] (rounds
-//!   of per-trial [`trial_rng`] proposals) or [`Execution::Parallel`]
+//! * [`Study::execution`] — [`Execution::Batched`] (rounds of per-trial
+//!   [`trial_rng`] proposals; rounds of one, the classic
+//!   propose→evaluate→observe loop, by default) or [`Execution::Parallel`]
 //!   (batched rounds evaluated concurrently);
 //! * [`Study::durability`] — [`Durability::Ephemeral`] or
 //!   [`Durability::Checkpointed`] (a checkpoint file per round interval;
@@ -42,30 +42,24 @@
 //!
 //! # Determinism
 //!
-//! [`Execution::Batched`] and [`Execution::Parallel`] derive trial `i`'s
-//! randomness from [`trial_rng`]`(seed, i)`, so a study depends only on
-//! `(seed, round size, optimizer, objective function)` — never on thread
-//! scheduling. `Parallel { threads: n }` is *defined* as `Batched
-//! { batch_size: n }` with the round's points scored concurrently, so the
-//! two produce bit-identical reports for equal round sizes.
-//! [`Execution::Sequential`] instead threads one `StdRng` through every
-//! proposal (the historical `run_study` semantics): reproducible per seed,
-//! but a different proposal stream than `Batched { batch_size: 1 }`.
+//! Trial `i` derives its randomness from [`trial_rng`]`(seed, i)`, so a
+//! study depends only on `(seed, round size, optimizer, objective
+//! function)` — never on thread scheduling. `Parallel { threads: n }` is
+//! *defined* as `Batched { batch_size: n }` with the round's points scored
+//! concurrently, so the two produce bit-identical reports for equal round
+//! sizes.
 
 use crate::optimizer::{Optimizer, Trial, TrialResult};
 use crate::pareto::{
     FrontierPoint, MetricDirection, MultiObjective, MultiTrial, ParetoArchive, ParetoStudyResult,
 };
 use crate::screen::{Fidelity, FidelityReport, ScreenEngine, Screener};
-use crate::snapshot::{
-    validate_and_restore, FidelityCheckpoint, OptimizerState, ParetoCheckpoint, StudyCheckpoint,
-};
+use crate::snapshot::{Checkpoint, OptimizerState};
 use crate::space::ParamSpace;
 use crate::study::{trial_rng, StudyResult};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::bin::{self, Decode, Encode, Reader, Writer};
+use serde::bin::{self, Decode, Encode};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -95,12 +89,10 @@ impl StudyObjective {
 /// How trials are grouped and evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Execution {
-    /// The classic loop: one shared RNG threaded through every proposal,
-    /// one evaluation at a time, per-trial observation.
-    Sequential,
     /// Rounds of `batch_size` proposals with per-trial [`trial_rng`]
     /// generators; the evaluator scores a whole round before the optimizer
-    /// observes it.
+    /// observes it. `Batched { batch_size: 1 }`, the [`Study::new`]
+    /// default, is the classic one-trial-at-a-time loop.
     Batched {
         /// Trials proposed and evaluated per round (≥ 1).
         batch_size: usize,
@@ -164,13 +156,9 @@ pub enum StudyConfigError {
     SerialEvalUnderParallelExecution,
     /// [`Fidelity::Screened`] with a `keep_fraction` outside `(0, 1]`.
     KeepFractionOutOfRange,
-    /// [`Fidelity::Screened`] passed to [`Study::run`] /
-    /// [`Study::run_observed`], which have no screener to rank rounds with
-    /// — use [`Study::run_screened`].
+    /// [`Fidelity::Screened`] run without a [`Screener`] to rank rounds
+    /// with — pass one to [`Study::run_with`].
     ScreenedWithoutScreener,
-    /// [`Fidelity::Screened`] under [`Execution::Sequential`]: rounds of
-    /// one always keep their single candidate, so screening cannot apply.
-    ScreenedSequentialExecution,
 }
 
 impl fmt::Display for StudyConfigError {
@@ -199,13 +187,8 @@ impl fmt::Display for StudyConfigError {
                 write!(f, "Screened fidelity needs keep_fraction in (0, 1]")
             }
             StudyConfigError::ScreenedWithoutScreener => {
-                write!(f, "Screened fidelity needs a screener; use Study::run_screened")
+                write!(f, "Screened fidelity needs a screener; pass one to Study::run_with")
             }
-            StudyConfigError::ScreenedSequentialExecution => write!(
-                f,
-                "Screened fidelity needs Batched or Parallel execution (sequential \
-                 rounds of one trial always keep their candidate)"
-            ),
         }
     }
 }
@@ -316,7 +299,7 @@ pub struct StudyReport {
     /// [`Durability::Checkpointed`].
     pub checkpoint: Option<CheckpointInfo>,
     /// Screening activity — `Some` iff the study ran with
-    /// [`Fidelity::Screened`] (via [`Study::run_screened`]).
+    /// [`Fidelity::Screened`].
     pub fidelity: Option<FidelityReport>,
 }
 
@@ -366,39 +349,9 @@ fn scalar_of(result: &MultiObjective) -> TrialResult {
     }
 }
 
-/// A study checkpoint at a round boundary, in whichever shape the objective
-/// axis produces. The legacy `*_resumable` drivers thread these through
-/// in-memory hooks; [`Durability::Checkpointed`] persists them to disk.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum RoundSnapshot {
-    /// A [`StudyObjective::Single`] study's checkpoint.
-    Scalar(StudyCheckpoint),
-    /// A [`StudyObjective::Pareto`] study's checkpoint.
-    Pareto(ParetoCheckpoint),
-}
-
-impl RoundSnapshot {
-    /// Completed trials at the snapshot.
-    pub(crate) fn trials_done(&self) -> usize {
-        match self {
-            RoundSnapshot::Scalar(ck) => ck.trials_done(),
-            RoundSnapshot::Pareto(ck) => ck.trials_done(),
-        }
-    }
-
-    /// The optimizer state recorded at the snapshot.
-    fn optimizer_state(&self) -> &OptimizerState {
-        match self {
-            RoundSnapshot::Scalar(ck) => &ck.optimizer,
-            RoundSnapshot::Pareto(ck) => &ck.optimizer,
-        }
-    }
-}
-
 /// Cheap per-round progress, handed to observers after every evaluated
-/// round (per trial under [`Execution::Sequential`]). Everything here is
-/// O(1) to produce — no trial history, no archive clone — so observing a
-/// study costs nothing measurable.
+/// round. Everything here is O(1) to produce — no trial history, no
+/// archive clone — so observing a study costs nothing measurable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyProgress {
     /// Trials evaluated so far (monotone; starts at the restored count on a
@@ -420,11 +373,11 @@ pub struct StudyProgress {
 }
 
 /// A round hook: called after every evaluated round with that round's
-/// progress and a thunk building its snapshot. The thunk clones the full
+/// progress and a thunk building its checkpoint. The thunk clones the full
 /// accumulated state (trials, convergence, archive, optimizer), so hooks
 /// that thin their save cadence only call it on the rounds they actually
 /// persist.
-pub(crate) type RoundHook<'h> = &'h mut dyn FnMut(&StudyProgress, &dyn Fn() -> RoundSnapshot);
+pub(crate) type RoundHook<'h> = &'h mut dyn FnMut(&StudyProgress, &dyn Fn() -> Checkpoint);
 
 /// Whether a checkpoint's optimizer state (`ck`, mid-run) was produced by
 /// an optimizer configured like `fresh` (a just-built optimizer's state):
@@ -455,19 +408,13 @@ fn same_optimizer_config(ck: &OptimizerState, fresh: &OptimizerState) -> bool {
     }
 }
 
-/// `batch_size` recorded in checkpoints of [`Execution::Sequential`]
-/// studies. The shared-RNG loop has no rounds, and the legacy batched
-/// drivers clamp their batch size to ≥ 1, so `0` is unambiguous.
-const SEQUENTIAL_MARKER: usize = 0;
-
 /// Checkpoint file name under [`Durability::Checkpointed`]'s directory.
 const STUDY_FILE_NAME: &str = "study.bin";
 /// Magic prefix of study checkpoint files.
 const STUDY_MAGIC: [u8; 8] = *b"FASTSTU1";
 /// Checkpoint file format version; bump on layout changes.
-/// v2: checkpoints carry an optional [`FidelityCheckpoint`] (screener
-/// state, correlation pairs, screened-out trial markings).
-const STUDY_VERSION: u32 = 2;
+/// v3: one [`Checkpoint`] record for every objective and fidelity.
+const STUDY_VERSION: u32 = 3;
 
 /// Seed salt of the screening exploration RNG. Each screened round draws
 /// its exploration pick from `trial_rng(seed ^ SCREEN_SEED_SALT,
@@ -492,15 +439,15 @@ pub struct Study<'s> {
 
 impl<'s> Study<'s> {
     /// A study of `trials` evaluations over `space`, with default axes:
-    /// [`StudyObjective::Single`], [`Execution::Sequential`],
-    /// [`Durability::Ephemeral`], seed 0.
+    /// [`StudyObjective::Single`], `Execution::Batched { batch_size: 1 }`,
+    /// [`Durability::Ephemeral`], [`Fidelity::Exact`], seed 0.
     #[must_use]
     pub fn new(space: &'s ParamSpace, trials: usize) -> Self {
         Study {
             space,
             trials,
             objective: StudyObjective::Single,
-            execution: Execution::Sequential,
+            execution: Execution::Batched { batch_size: 1 },
             durability: Durability::Ephemeral,
             fidelity: Fidelity::Exact,
             seed: 0,
@@ -528,8 +475,8 @@ impl<'s> Study<'s> {
         self
     }
 
-    /// Sets the fidelity axis. [`Fidelity::Screened`] studies must run
-    /// through [`Study::run_screened`] (they need a [`Screener`]).
+    /// Sets the fidelity axis. [`Fidelity::Screened`] studies need a
+    /// [`Screener`], passed to [`Study::run_with`].
     #[must_use]
     pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
@@ -543,12 +490,11 @@ impl<'s> Study<'s> {
         self
     }
 
-    /// `(round_size, parallel, sequential)` of the execution axis.
-    fn shape(&self) -> (usize, bool, bool) {
+    /// `(round_size, parallel)` of the execution axis.
+    fn shape(&self) -> (usize, bool) {
         match self.execution {
-            Execution::Sequential => (1, false, true),
-            Execution::Batched { batch_size } => (batch_size.max(1), false, false),
-            Execution::Parallel { threads } => (threads.max(1), true, false),
+            Execution::Batched { batch_size } => (batch_size.max(1), false),
+            Execution::Parallel { threads } => (threads.max(1), true),
         }
     }
 
@@ -562,7 +508,7 @@ impl<'s> Study<'s> {
                     return Err(StudyConfigError::SerialEvalUnderParallelExecution);
                 }
             }
-            Execution::Sequential | Execution::Batched { .. } => {}
+            Execution::Batched { .. } => {}
         }
         if let StudyObjective::Pareto { directions } = &self.objective {
             if directions.len() < 2 {
@@ -573,9 +519,6 @@ impl<'s> Study<'s> {
             // NaN fails the first comparison and lands here too.
             if !(keep_fraction > 0.0 && keep_fraction <= 1.0) {
                 return Err(StudyConfigError::KeepFractionOutOfRange);
-            }
-            if self.execution == Execution::Sequential {
-                return Err(StudyConfigError::ScreenedSequentialExecution);
             }
         }
         if let Durability::Checkpointed { dir, every } = &self.durability {
@@ -614,54 +557,21 @@ impl<'s> Study<'s> {
         self.run_with(optimizer, eval, None, None)
     }
 
-    /// [`Study::run`] with a [`Screener`] ranking each proposal round —
-    /// required by [`Fidelity::Screened`]. Under [`Fidelity::Exact`] the
-    /// screener is ignored and the run is bit-identical to [`Study::run`].
+    /// [`Study::run`] with its two optional inputs:
+    ///
+    /// * `screener` ranks each proposal round. [`Fidelity::Screened`]
+    ///   requires one; under [`Fidelity::Exact`] it is ignored and the run
+    ///   is bit-identical to [`Study::run`].
+    /// * `observer` is called with a [`StudyProgress`] after every evaluated
+    ///   round — the live-progress feed a serving process streams to its
+    ///   clients. It works under every durability axis (a resumed
+    ///   checkpointed study reports progress from its restored trial count
+    ///   onward), and observation never changes what is computed.
     ///
     /// # Errors
-    /// As [`Study::run`].
-    pub fn run_screened(
-        &self,
-        optimizer: &mut dyn Optimizer,
-        eval: StudyEval<'_>,
-        screener: &mut dyn Screener,
-    ) -> Result<StudyReport, StudyConfigError> {
-        self.run_with(optimizer, eval, Some(screener), None)
-    }
-
-    /// [`Study::run_screened`] + the [`Study::run_observed`] progress feed.
-    ///
-    /// # Errors
-    /// As [`Study::run`].
-    pub fn run_screened_observed(
-        &self,
-        optimizer: &mut dyn Optimizer,
-        eval: StudyEval<'_>,
-        screener: &mut dyn Screener,
-        observer: &mut dyn FnMut(&StudyProgress),
-    ) -> Result<StudyReport, StudyConfigError> {
-        self.run_with(optimizer, eval, Some(screener), Some(observer))
-    }
-
-    /// [`Study::run`], additionally calling `observer` with a
-    /// [`StudyProgress`] after every evaluated round (per trial under
-    /// [`Execution::Sequential`]) — the live-progress feed a serving
-    /// process streams to its clients. Works under every durability axis: a
-    /// resumed checkpointed study reports progress from its restored trial
-    /// count onward. Observation never changes what is computed.
-    ///
-    /// # Errors
-    /// As [`Study::run`].
-    pub fn run_observed(
-        &self,
-        optimizer: &mut dyn Optimizer,
-        eval: StudyEval<'_>,
-        observer: &mut dyn FnMut(&StudyProgress),
-    ) -> Result<StudyReport, StudyConfigError> {
-        self.run_with(optimizer, eval, None, Some(observer))
-    }
-
-    fn run_with(
+    /// As [`Study::run`], plus [`StudyConfigError::ScreenedWithoutScreener`]
+    /// for a screened study given no screener.
+    pub fn run_with(
         &self,
         optimizer: &mut dyn Optimizer,
         eval: StudyEval<'_>,
@@ -676,159 +586,126 @@ impl<'s> Study<'s> {
             }
             (Fidelity::Exact, _) => None,
         };
-        match &self.durability {
-            Durability::Ephemeral => match observer {
-                None => Ok(self.run_hooked(optimizer, eval, screen, None, None)),
-                Some(obs) => {
-                    let mut hook = |p: &StudyProgress, _make: &dyn Fn() -> RoundSnapshot| obs(p);
-                    Ok(self.run_hooked(optimizer, eval, screen, None, Some(&mut hook)))
+        let Durability::Checkpointed { dir, every } = &self.durability else {
+            return Ok(self.run_unsaved(optimizer, eval, screen, observer));
+        };
+        let path = dir.join(STUDY_FILE_NAME);
+        let resume = match load_snapshot(&path, self, &*optimizer) {
+            SnapshotLoad::Loaded(ck) => Some(*ck),
+            SnapshotLoad::Missing => None,
+            // Transiently unreadable: the file may hold real progress a
+            // later rerun can resume from, so neither overwrite it with this
+            // run's saves nor quarantine it — run undurably and leave it in
+            // place.
+            SnapshotLoad::Unreadable => {
+                eprintln!(
+                    "warning: checkpoint {} is unreadable right now; running without saves so \
+                     the file is preserved",
+                    path.display()
+                );
+                let mut report = self.run_unsaved(optimizer, eval, screen, observer);
+                report.checkpoint = Some(CheckpointInfo { path, resumed_trials: 0, saves: 0 });
+                return Ok(report);
+            }
+            SnapshotLoad::Rejected => {
+                // The file was read but is damaged or belongs to a different
+                // configuration. The cold run's first save would overwrite
+                // it — quarantine it instead so whatever progress it holds
+                // survives a mis-typed rerun.
+                quarantine_rejected(&path);
+                None
+            }
+        };
+        let resumed_trials = resume.as_ref().map_or(0, |ck| ck.state.trials.len());
+        let every = *every;
+        let n_trials = self.trials;
+        let mut rounds = 0usize;
+        let mut saves = 0usize;
+        let mut report = {
+            // Off-cadence rounds never call `make`, so they skip the
+            // full-state checkpoint clone entirely.
+            let mut hook = |p: &StudyProgress, make: &dyn Fn() -> Checkpoint| {
+                if let Some(obs) = observer.as_deref_mut() {
+                    obs(p);
                 }
-            },
-            Durability::Checkpointed { dir, every } => {
-                let path = dir.join(STUDY_FILE_NAME);
-                let (round_size, _, sequential) = self.shape();
-                let resume = match load_snapshot(&path, self, &*optimizer, round_size, sequential) {
-                    SnapshotLoad::Loaded(snap) => Some(*snap),
-                    SnapshotLoad::Missing => None,
-                    // Transiently unreadable: the file may hold real
-                    // progress a later rerun can resume from, so neither
-                    // overwrite it with this run's saves nor quarantine
-                    // it — run undurably and leave it in place.
-                    SnapshotLoad::Unreadable => {
-                        eprintln!(
-                            "warning: checkpoint {} is unreadable right now; running without \
-                             saves so the file is preserved",
-                            path.display()
-                        );
-                        let mut hook = |p: &StudyProgress, _make: &dyn Fn() -> RoundSnapshot| {
-                            if let Some(obs) = observer.as_deref_mut() {
-                                obs(p);
-                            }
-                        };
-                        let mut report =
-                            self.run_hooked(optimizer, eval, screen, None, Some(&mut hook));
-                        report.checkpoint =
-                            Some(CheckpointInfo { path, resumed_trials: 0, saves: 0 });
-                        return Ok(report);
-                    }
-                    SnapshotLoad::Rejected => {
-                        // The file was read but is damaged or belongs to a
-                        // different configuration. The cold run's first
-                        // save would overwrite it — quarantine it instead
-                        // so whatever progress it holds survives a
-                        // mis-typed rerun.
-                        quarantine_rejected(&path);
-                        None
-                    }
-                };
-                let resumed_trials = resume.as_ref().map_or(0, RoundSnapshot::trials_done);
-                let every = *every;
-                let n_trials = self.trials;
-                let mut rounds = 0usize;
-                let mut saves = 0usize;
-                let mut report = {
-                    // Off-cadence rounds never call `make`, so they skip
-                    // the full-state snapshot clone entirely.
-                    let mut hook = |p: &StudyProgress, make: &dyn Fn() -> RoundSnapshot| {
-                        if let Some(obs) = observer.as_deref_mut() {
-                            obs(p);
-                        }
-                        rounds += 1;
-                        if rounds.is_multiple_of(every) || p.trials_done == n_trials {
-                            saves += usize::from(save_snapshot(&path, &make()));
-                        }
-                    };
-                    self.run_hooked(optimizer, eval, screen, resume, Some(&mut hook))
-                };
-                report.checkpoint = Some(CheckpointInfo { path, resumed_trials, saves });
-                Ok(report)
+                rounds += 1;
+                if rounds.is_multiple_of(every) || p.trials_done == n_trials {
+                    saves += usize::from(save_snapshot(&path, &make()));
+                }
+            };
+            self.run_hooked(optimizer, eval, screen, resume, Some(&mut hook))
+        };
+        report.checkpoint = Some(CheckpointInfo { path, resumed_trials, saves });
+        Ok(report)
+    }
+
+    /// Runs without saving anything, feeding `observer` (if any) after every
+    /// round.
+    fn run_unsaved(
+        &self,
+        optimizer: &mut dyn Optimizer,
+        eval: StudyEval<'_>,
+        screen: Option<ScreenEngine<'_>>,
+        observer: Option<&mut dyn FnMut(&StudyProgress)>,
+    ) -> StudyReport {
+        match observer {
+            None => self.run_hooked(optimizer, eval, screen, None, None),
+            Some(obs) => {
+                let mut hook = |p: &StudyProgress, _make: &dyn Fn() -> Checkpoint| obs(p);
+                self.run_hooked(optimizer, eval, screen, None, Some(&mut hook))
             }
         }
     }
 
-    /// The engine behind [`Study::run`]:
-    /// optionally restores an in-memory snapshot before the first round and
-    /// calls `on_round` after every evaluated round (per-trial under
-    /// [`Execution::Sequential`]) with the trial count and a lazy snapshot
-    /// builder.
-    ///
-    /// Unlike the disk path (which degrades to a cold start on any
-    /// mismatch), a programmatic `resume` snapshot that disagrees with the
-    /// study configuration panics — it is a caller bug, and silently
-    /// diverging from the bit-identity contract would be worse.
+    /// The engine behind [`Study::run_with`]: optionally restores an
+    /// in-memory checkpoint before the first round ([`Study::restore`]) and
+    /// calls `on_round` after every evaluated round with the round's
+    /// progress and a lazy checkpoint builder.
     pub(crate) fn run_hooked(
         &self,
         optimizer: &mut dyn Optimizer,
         mut eval: StudyEval<'_>,
         mut screen: Option<ScreenEngine<'_>>,
-        resume: Option<RoundSnapshot>,
+        resume: Option<Checkpoint>,
         mut on_round: Option<RoundHook<'_>>,
     ) -> StudyReport {
-        let (round_size, parallel, sequential) = self.shape();
-        let mut st = EngineState::new(&self.objective);
-        if sequential {
-            assert!(screen.is_none(), "validate rejects Screened + Sequential");
-            let mut rng = StdRng::seed_from_u64(self.seed);
-            if let Some(snap) = resume {
-                self.restore_sequential(&mut st, optimizer, &mut rng, snap);
-            }
-            while st.trials.len() < self.trials {
-                let point = optimizer.propose(self.space, &mut rng);
-                debug_assert!(self.space.contains(&point));
-                let results = eval.eval(std::slice::from_ref(&point), false);
-                assert_eq!(results.len(), 1, "evaluator must score every proposed point");
-                let result = results.into_iter().next().expect("length asserted");
+        let (round_size, parallel) = self.shape();
+        let mut st = match resume {
+            Some(ck) => self.restore(optimizer, screen.as_mut(), ck),
+            None => EngineState::new(&self.objective),
+        };
+        let mut start = st.trials.len();
+        while start < self.trials {
+            let round = round_size.min(self.trials - start);
+            let mut rngs: Vec<StdRng> =
+                (start..start + round).map(|i| trial_rng(self.seed, i)).collect();
+            let points = optimizer.propose_batch(self.space, &mut rngs);
+            assert_eq!(points.len(), round, "optimizer must propose one point per RNG");
+            debug_assert!(points.iter().all(|p| self.space.contains(p)));
+
+            let results = match screen.as_mut() {
+                Some(eng) => self.screen_round(eng, &points, &mut eval, parallel, start),
+                None => {
+                    let results = eval.eval(&points, parallel);
+                    assert_eq!(results.len(), round, "evaluator must score every proposed point");
+                    results
+                }
+            };
+
+            let mut scalar_trials = Vec::with_capacity(round);
+            for (point, result) in points.into_iter().zip(results) {
                 let scalar = st.absorb(&point, &result);
-                let trial = Trial { point: point.clone(), result: scalar };
-                optimizer.observe(self.space, &trial);
+                scalar_trials.push(Trial { point: point.clone(), result: scalar });
                 st.push_trial(point, result);
-                if let Some(hook) = on_round.as_deref_mut() {
-                    let opt_ref: &dyn Optimizer = optimizer;
-                    let progress = self.progress(&st, None);
-                    hook(&progress, &|| self.snapshot(&st, SEQUENTIAL_MARKER, opt_ref, None));
-                }
             }
-        } else {
-            if let Some(snap) = resume {
-                self.restore_batched(&mut st, optimizer, round_size, snap, screen.as_mut());
-            }
-            let mut start = st.trials.len();
-            while start < self.trials {
-                let round = round_size.min(self.trials - start);
-                let mut rngs: Vec<StdRng> =
-                    (start..start + round).map(|i| trial_rng(self.seed, i)).collect();
-                let points = optimizer.propose_batch(self.space, &mut rngs);
-                assert_eq!(points.len(), round, "optimizer must propose one point per RNG");
-                debug_assert!(points.iter().all(|p| self.space.contains(p)));
+            optimizer.observe_batch(self.space, &scalar_trials);
+            start += round;
 
-                let results = match screen.as_mut() {
-                    Some(eng) => self.screen_round(eng, &points, &mut eval, parallel, start),
-                    None => {
-                        let results = eval.eval(&points, parallel);
-                        assert_eq!(
-                            results.len(),
-                            round,
-                            "evaluator must score every proposed point"
-                        );
-                        results
-                    }
-                };
-
-                let mut scalar_trials = Vec::with_capacity(round);
-                for (point, result) in points.into_iter().zip(results) {
-                    let scalar = st.absorb(&point, &result);
-                    scalar_trials.push(Trial { point: point.clone(), result: scalar });
-                    st.push_trial(point, result);
-                }
-                optimizer.observe_batch(self.space, &scalar_trials);
-                start += round;
-
-                if let Some(hook) = on_round.as_deref_mut() {
-                    let opt_ref: &dyn Optimizer = optimizer;
-                    let sc_ref = screen.as_ref();
-                    let progress = self.progress(&st, sc_ref);
-                    hook(&progress, &|| self.snapshot(&st, round_size, opt_ref, sc_ref));
-                }
+            if let Some(hook) = on_round.as_deref_mut() {
+                let opt_ref: &dyn Optimizer = optimizer;
+                let sc_ref = screen.as_ref();
+                let progress = self.progress(&st, sc_ref);
+                hook(&progress, &|| self.snapshot(&st, round_size, opt_ref, sc_ref));
             }
         }
 
@@ -921,201 +798,171 @@ impl<'s> Study<'s> {
         }
     }
 
-    /// Builds the round snapshot matching the objective axis.
+    /// The checkpoint of the round boundary `st` stands at.
     fn snapshot(
         &self,
         st: &EngineState,
-        batch_marker: usize,
+        round_size: usize,
         opt: &dyn Optimizer,
         screen: Option<&ScreenEngine<'_>>,
-    ) -> RoundSnapshot {
-        let fidelity = screen.map(|eng| fidelity_checkpoint(eng, &st.trials));
-        match &self.objective {
-            StudyObjective::Single => RoundSnapshot::Scalar(StudyCheckpoint {
-                seed: self.seed,
-                batch_size: batch_marker,
-                best: st.best.clone(),
-                convergence: st.convergence.clone(),
-                invalid_trials: st.invalid,
-                trials: scalar_trials(&st.trials),
-                optimizer: opt.save_state(),
-                fidelity,
-            }),
-            StudyObjective::Pareto { .. } => RoundSnapshot::Pareto(ParetoCheckpoint {
-                seed: self.seed,
-                batch_size: batch_marker,
-                archive: st.archive.clone().expect("Pareto study keeps an archive"),
-                best_guide: st.best.as_ref().map_or(f64::NAN, |(_, g)| *g),
-                guide_convergence: st.convergence.clone(),
-                invalid_trials: st.invalid,
-                trials: st.trials.clone(),
-                optimizer: opt.save_state(),
-                fidelity,
-            }),
+    ) -> Checkpoint {
+        let mut ck = Checkpoint {
+            seed: self.seed,
+            round_size,
+            state: st.clone(),
+            optimizer: opt.save_state(),
+            fidelity: self.fidelity,
+            full_evals: 0,
+            screened_out: 0,
+            pairs: Vec::new(),
+            screener: Vec::new(),
+        };
+        if let Some(eng) = screen {
+            ck.full_evals = eng.full_evals;
+            ck.screened_out = eng.screened_out;
+            ck.pairs = eng.pairs.clone();
+            ck.screener = eng.screener.save_state();
         }
+        ck
     }
 
-    /// Loads a snapshot's accumulated state into `st`, returning the
-    /// checkpoint's `(seed, batch marker, convergence length, scalar trial
-    /// stream)` for validation and optimizer restoration.
+    /// Why `ck` cannot resume this study, if it cannot: it was written with
+    /// a different seed, round size, objective, fidelity or optimizer
+    /// configuration, holds more trials than the budget, or stops off this
+    /// study's round grid — resuming there would regroup observations and
+    /// diverge from an uninterrupted run.
+    fn check(&self, ck: &Checkpoint, optimizer: &dyn Optimizer) -> Result<(), String> {
+        let (round_size, _) = self.shape();
+        let done = ck.state.trials.len();
+        let directions = match &self.objective {
+            StudyObjective::Single => None,
+            StudyObjective::Pareto { directions } => Some(&directions[..]),
+        };
+        if ck.seed != self.seed {
+            return Err("checkpoint seed mismatch".into());
+        }
+        if ck.round_size != round_size {
+            return Err("checkpoint round-size mismatch".into());
+        }
+        if done > self.trials {
+            return Err(format!(
+                "checkpoint holds {done} trials but the study budget is {}",
+                self.trials
+            ));
+        }
+        if ck.state.convergence.len() != done {
+            return Err("checkpoint convergence/trial length mismatch".into());
+        }
+        if !done.is_multiple_of(round_size) && done != self.trials {
+            return Err(format!(
+                "checkpoint at {done} trials is not a round boundary of a batch-{round_size} \
+                 study over {} trials: resuming would regroup observations and diverge from an \
+                 uninterrupted run",
+                self.trials
+            ));
+        }
+        if ck.state.archive.as_ref().map(ParetoArchive::directions) != directions {
+            return Err("checkpoint objective mismatch".into());
+        }
+        // Adopting an exact study's file into a screened rerun (or a
+        // differently-screened one) would splice two different kept-trial
+        // sequences into one record.
+        if ck.fidelity != self.fidelity {
+            return Err("checkpoint fidelity mismatch".into());
+        }
+        if !same_optimizer_config(&ck.optimizer, &optimizer.save_state()) {
+            return Err(
+                "checkpoint was written by a different or differently-configured optimizer".into(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Resumes from `ck`: adopts its engine state as recorded, restores the
+    /// optimizer from its saved state — or, when the optimizer refuses it
+    /// (an [`OptimizerState::Opaque`] custom optimizer), replays the
+    /// recorded rounds through it, exact by the [`trial_rng`] contract —
+    /// and restores the screening state. A screener that refuses its saved
+    /// bytes is retrained by replaying every fully evaluated trial through
+    /// [`Screener::observe`], the observations the original run fed it.
     ///
     /// # Panics
-    /// Panics when the snapshot's objective shape (or its Pareto
-    /// directions) disagrees with the study's — for programmatic resumes
-    /// that is a caller bug; the disk loader filters such files out before
-    /// they reach here.
-    fn load_state(
+    /// Panics when [`Study::check`] refuses the checkpoint (the disk loader
+    /// filters such files out first, so for a programmatic resume it is a
+    /// caller bug, and silently breaking bit-identity would be worse) or
+    /// when replayed proposals diverge from the record.
+    fn restore(
         &self,
-        st: &mut EngineState,
-        snap: RoundSnapshot,
-    ) -> (u64, usize, usize, Vec<Trial>, Option<FidelityCheckpoint>) {
-        match (snap, &self.objective) {
-            (RoundSnapshot::Scalar(ck), StudyObjective::Single) => {
-                let scalar = ck.trials.clone();
-                st.best = ck.best;
-                st.convergence = ck.convergence;
-                st.invalid = ck.invalid_trials;
-                st.trials = ck
-                    .trials
-                    .into_iter()
-                    .map(|t| MultiTrial { point: t.point, result: MultiObjective::from(t.result) })
-                    .collect();
-                // The scalar trial stream is lossy (a screened-out trial
-                // records the same `Invalid` the optimizer observed), so
-                // the Surrogate markings are reapplied from the fidelity
-                // sidecar.
-                if let Some(fid) = &ck.fidelity {
-                    for &(i, guide) in &fid.screened {
-                        st.trials[i].result = MultiObjective::Surrogate { guide };
+        optimizer: &mut dyn Optimizer,
+        screen: Option<&mut ScreenEngine<'_>>,
+        ck: Checkpoint,
+    ) -> EngineState {
+        if let Err(why) = self.check(&ck, optimizer) {
+            panic!("{why}");
+        }
+        if !optimizer.load_state(&ck.optimizer) {
+            let (round_size, _) = self.shape();
+            for (r, recorded) in ck.state.trials.chunks(round_size).enumerate() {
+                let start = r * round_size;
+                let mut rngs: Vec<StdRng> =
+                    (start..start + recorded.len()).map(|i| trial_rng(self.seed, i)).collect();
+                let points = optimizer.propose_batch(self.space, &mut rngs);
+                assert!(
+                    points.iter().zip(recorded).all(|(p, t)| *p == t.point),
+                    "replayed optimizer diverged from the checkpoint's proposal record (was the \
+                     optimizer configured differently?)"
+                );
+                optimizer.observe_batch(self.space, &scalar_trials(recorded));
+            }
+        }
+        if let Some(eng) = screen {
+            eng.full_evals = ck.full_evals;
+            eng.screened_out = ck.screened_out;
+            eng.pairs = ck.pairs;
+            if !eng.screener.load_state(&ck.screener) {
+                for t in &ck.state.trials {
+                    match &t.result {
+                        MultiObjective::Valid { guide, .. } => {
+                            eng.screener.observe(&t.point, Some(*guide));
+                        }
+                        MultiObjective::Invalid => eng.screener.observe(&t.point, None),
+                        MultiObjective::Surrogate { .. } => {}
                     }
                 }
-                (ck.seed, ck.batch_size, st.convergence.len(), scalar, ck.fidelity)
-            }
-            (RoundSnapshot::Pareto(ck), StudyObjective::Pareto { directions }) => {
-                assert_eq!(
-                    ck.archive.directions(),
-                    &directions[..],
-                    "checkpoint direction mismatch"
-                );
-                let scalar = scalar_trials(&ck.trials);
-                st.best = rebuild_pareto_best(&ck.trials);
-                debug_assert_eq!(
-                    st.best.as_ref().map_or(f64::NAN, |(_, g)| *g).to_bits(),
-                    ck.best_guide.to_bits(),
-                    "checkpoint best_guide disagrees with its own trial record — \
-                     rebuild_pareto_best drifted from EngineState::absorb"
-                );
-                st.archive = Some(ck.archive);
-                st.convergence = ck.guide_convergence;
-                st.invalid = ck.invalid_trials;
-                st.trials = ck.trials;
-                (ck.seed, ck.batch_size, st.convergence.len(), scalar, ck.fidelity)
-            }
-            (RoundSnapshot::Scalar(_), StudyObjective::Pareto { .. }) => {
-                panic!("checkpoint objective mismatch: scalar checkpoint for a Pareto study")
-            }
-            (RoundSnapshot::Pareto(_), StudyObjective::Single) => {
-                panic!("checkpoint objective mismatch: Pareto checkpoint for a scalar study")
             }
         }
-    }
-
-    /// Restores a batched/parallel study from a snapshot (state restore or
-    /// [`trial_rng`] replay, via [`validate_and_restore`]).
-    fn restore_batched(
-        &self,
-        st: &mut EngineState,
-        optimizer: &mut dyn Optimizer,
-        round_size: usize,
-        snap: RoundSnapshot,
-        screen: Option<&mut ScreenEngine<'_>>,
-    ) {
-        let opt_state = snap.optimizer_state().clone();
-        let (seed, marker, conv_len, scalar, fidelity) = self.load_state(st, snap);
-        validate_and_restore(
-            self.space,
-            optimizer,
-            self.trials,
-            round_size,
-            self.seed,
-            seed,
-            marker,
-            conv_len,
-            &opt_state,
-            &scalar,
-        );
-        match (screen, fidelity) {
-            (Some(eng), Some(fid)) => restore_screen(eng, fid, &st.trials),
-            (None, None) => {}
-            // The disk loader rejects such files before they get here, so
-            // a mismatch is a programmatic-resume caller bug.
-            (Some(_), None) => {
-                panic!("checkpoint carries no fidelity state for a screened study")
-            }
-            (None, Some(_)) => panic!("fidelity checkpoint offered to an unscreened study"),
-        }
-    }
-
-    /// Restores a sequential study by replaying the recorded trials through
-    /// both the optimizer and the shared RNG. There is no state-restore
-    /// shortcut here: the shared generator's state is a function of every
-    /// proposal made so far, so replay *is* the cursor.
-    fn restore_sequential(
-        &self,
-        st: &mut EngineState,
-        optimizer: &mut dyn Optimizer,
-        rng: &mut StdRng,
-        snap: RoundSnapshot,
-    ) {
-        let (seed, marker, conv_len, scalar, fidelity) = self.load_state(st, snap);
-        assert!(fidelity.is_none(), "sequential studies are never screened");
-        crate::snapshot::validate_checkpoint_header(
-            self.trials,
-            SEQUENTIAL_MARKER,
-            self.seed,
-            seed,
-            marker,
-            conv_len,
-            scalar.len(),
-        );
-        for t in &scalar {
-            let p = optimizer.propose(self.space, rng);
-            assert_eq!(p, t.point, "{}", crate::snapshot::REPLAY_DIVERGED);
-            optimizer.observe(self.space, t);
-        }
+        ck.state
     }
 }
 
-/// Accumulated study state shared by every (objective × execution) cell.
-struct EngineState {
-    /// Single-objective mode (metric vectors dropped, sticky-NaN incumbent).
-    scalar: bool,
-    best: Option<(Vec<usize>, f64)>,
-    convergence: Vec<f64>,
-    invalid: usize,
-    trials: Vec<MultiTrial>,
-    archive: Option<ParetoArchive>,
+/// Accumulated study state shared by every objective × execution cell —
+/// and, as it stands at a round boundary, the heart of a [`Checkpoint`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct EngineState {
+    /// Incumbent `(point, guide)`.
+    pub(crate) best: Option<(Vec<usize>, f64)>,
+    /// Best-so-far guide after each trial.
+    pub(crate) convergence: Vec<f64>,
+    /// Safe-search rejections.
+    pub(crate) invalid: usize,
+    /// Completed trials, in proposal order.
+    pub(crate) trials: Vec<MultiTrial>,
+    /// The non-dominated set — `Some` iff the objective is Pareto.
+    pub(crate) archive: Option<ParetoArchive>,
 }
 
 impl EngineState {
-    fn new(objective: &StudyObjective) -> Self {
+    pub(crate) fn new(objective: &StudyObjective) -> Self {
         let archive = match objective {
             StudyObjective::Single => None,
             StudyObjective::Pareto { directions } => Some(ParetoArchive::new(directions)),
         };
-        EngineState {
-            scalar: archive.is_none(),
-            best: None,
-            convergence: Vec::new(),
-            invalid: 0,
-            trials: Vec::new(),
-            archive,
-        }
+        EngineState { best: None, convergence: Vec::new(), invalid: 0, trials: Vec::new(), archive }
     }
 
     /// Feeds one outcome into the archive/incumbent/counters and returns
     /// the scalar trial the optimizer observes.
-    fn absorb(&mut self, point: &[usize], result: &MultiObjective) -> TrialResult {
+    pub(crate) fn absorb(&mut self, point: &[usize], result: &MultiObjective) -> TrialResult {
         let scalar = match result {
             MultiObjective::Valid { metrics, guide } => {
                 if let Some(archive) = self.archive.as_mut() {
@@ -1126,10 +973,9 @@ impl EngineState {
                 // (`obj > NaN` is false); a Pareto study's guide incumbent
                 // recovers from NaN (it mirrored a bare `f64` that began
                 // life as NaN).
-                let replace = self
-                    .best
-                    .as_ref()
-                    .is_none_or(|(_, b)| *guide > *b || (!self.scalar && b.is_nan()));
+                let pareto = self.archive.is_some();
+                let replace =
+                    self.best.as_ref().is_none_or(|(_, b)| *guide > *b || (pareto && b.is_nan()));
                 if replace {
                     self.best = Some((point.to_vec(), *guide));
                 }
@@ -1150,10 +996,9 @@ impl EngineState {
     }
 
     /// Records a completed trial. Single-objective studies drop the metric
-    /// vector so a checkpointed-and-resumed study is indistinguishable from
-    /// an uninterrupted one (scalar checkpoints cannot carry metrics).
-    fn push_trial(&mut self, point: Vec<usize>, result: MultiObjective) {
-        let result = if self.scalar {
+    /// vector: they track only the guide.
+    pub(crate) fn push_trial(&mut self, point: Vec<usize>, result: MultiObjective) {
+        let result = if self.archive.is_none() {
             match result {
                 MultiObjective::Valid { guide, .. } => {
                     MultiObjective::Valid { metrics: Vec::new(), guide }
@@ -1171,68 +1016,6 @@ impl EngineState {
 /// Projects stored trials down to the scalar stream the optimizer observed.
 fn scalar_trials(trials: &[MultiTrial]) -> Vec<Trial> {
     trials.iter().map(|t| Trial { point: t.point.clone(), result: scalar_of(&t.result) }).collect()
-}
-
-/// Serializes a [`ScreenEngine`]'s state (plus the screened-out markings of
-/// the trial record, which scalar checkpoints cannot carry themselves) into
-/// the checkpoint sidecar.
-fn fidelity_checkpoint(eng: &ScreenEngine<'_>, trials: &[MultiTrial]) -> FidelityCheckpoint {
-    let Fidelity::Screened { keep_fraction, min_full, tier } = eng.fidelity else {
-        unreachable!("ScreenEngine only exists for screened studies")
-    };
-    FidelityCheckpoint {
-        keep_fraction,
-        min_full,
-        tier,
-        full_evals: eng.full_evals,
-        screened_out: eng.screened_out,
-        pairs: eng.pairs.clone(),
-        screener: eng.screener.save_state(),
-        screened: trials
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| match t.result {
-                MultiObjective::Surrogate { guide } => Some((i, guide)),
-                _ => None,
-            })
-            .collect(),
-    }
-}
-
-/// Rebuilds a [`ScreenEngine`]'s state from a checkpoint sidecar. The
-/// screener restores its serialized state directly; a screener that refuses
-/// the bytes is retrained by replaying every fully evaluated trial through
-/// [`Screener::observe`] — the same observations the original run fed it,
-/// in the same order, so both paths land on the same state.
-fn restore_screen(eng: &mut ScreenEngine<'_>, fid: FidelityCheckpoint, trials: &[MultiTrial]) {
-    eng.full_evals = fid.full_evals;
-    eng.screened_out = fid.screened_out;
-    eng.pairs = fid.pairs;
-    if !eng.screener.load_state(&fid.screener) {
-        for t in trials {
-            match &t.result {
-                MultiObjective::Valid { guide, .. } => eng.screener.observe(&t.point, Some(*guide)),
-                MultiObjective::Invalid => eng.screener.observe(&t.point, None),
-                MultiObjective::Surrogate { .. } => {}
-            }
-        }
-    }
-}
-
-/// Rebuilds the tracked `(point, guide)` incumbent from a recorded trial
-/// stream with the Pareto update rule (a NaN incumbent is replaced) —
-/// Pareto checkpoints store only the guide value, not its point. Must stay
-/// in lockstep with [`EngineState::absorb`]'s non-scalar branch.
-fn rebuild_pareto_best(trials: &[MultiTrial]) -> Option<(Vec<usize>, f64)> {
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    for t in trials {
-        if let MultiObjective::Valid { guide, .. } = &t.result {
-            if best.as_ref().is_none_or(|(_, b)| *guide > *b || b.is_nan()) {
-                best = Some((t.point.clone(), *guide));
-            }
-        }
-    }
-    best
 }
 
 /// Moves a rejected checkpoint file aside under the first free
@@ -1258,21 +1041,10 @@ fn quarantine_rejected(path: &Path) {
     }
 }
 
-/// Atomically writes a snapshot file (temp + rename). Returns whether the
+/// Atomically writes a checkpoint file (temp + rename). Returns whether the
 /// write succeeded; failures warn and the study continues undurably.
-fn save_snapshot(path: &Path, snap: &RoundSnapshot) -> bool {
-    let mut payload = Writer::new();
-    match snap {
-        RoundSnapshot::Scalar(ck) => {
-            payload.put_u8(0);
-            ck.encode(&mut payload);
-        }
-        RoundSnapshot::Pareto(ck) => {
-            payload.put_u8(1);
-            ck.encode(&mut payload);
-        }
-    }
-    let file = bin::write_envelope(STUDY_MAGIC, STUDY_VERSION, &payload.into_bytes());
+fn save_snapshot(path: &Path, ck: &Checkpoint) -> bool {
+    let file = bin::write_envelope(STUDY_MAGIC, STUDY_VERSION, &ck.to_bytes());
     let tmp = path.with_extension("tmp");
     match std::fs::write(&tmp, &file).and_then(|()| std::fs::rename(&tmp, path)) {
         Ok(()) => true,
@@ -1283,12 +1055,6 @@ fn save_snapshot(path: &Path, snap: &RoundSnapshot) -> bool {
     }
 }
 
-/// Loads and validates a snapshot file against the study configuration
-/// (including the optimizer: a file written by a different algorithm must
-/// not be adopted — its replay would diverge and panic). A missing file is
-/// a silent cold start; damage or a configuration mismatch warns and
-/// degrades to a cold start — resuming can cost re-evaluation, never
-/// correctness.
 /// Outcome of reading a checkpoint file: only [`SnapshotLoad::Rejected`]
 /// files are quarantined — an unreadable file may be transiently so and is
 /// left in place for a later rerun.
@@ -1297,19 +1063,20 @@ enum SnapshotLoad {
     Missing,
     /// The file exists but could not be read right now (transient I/O).
     Unreadable,
-    /// The file was read but is damaged or belongs to another study.
+    /// The file was read but is damaged, of another format version, or
+    /// belongs to another study.
     Rejected,
-    /// A snapshot matching this study's configuration.
-    Loaded(Box<RoundSnapshot>),
+    /// A checkpoint matching this study's configuration.
+    Loaded(Box<Checkpoint>),
 }
 
-fn load_snapshot(
-    path: &Path,
-    study: &Study<'_>,
-    optimizer: &dyn Optimizer,
-    round_size: usize,
-    sequential: bool,
-) -> SnapshotLoad {
+/// Loads a checkpoint file and checks it against the study configuration
+/// ([`Study::check`], which includes the optimizer: a file written by a
+/// different algorithm must not be adopted — its replay would diverge and
+/// panic). A missing file is a silent cold start; damage, another format
+/// version or a configuration mismatch warns and degrades to a cold start —
+/// resuming can cost re-evaluation, never correctness.
+fn load_snapshot(path: &Path, study: &Study<'_>, optimizer: &dyn Optimizer) -> SnapshotLoad {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return SnapshotLoad::Missing,
@@ -1318,84 +1085,17 @@ fn load_snapshot(
             return SnapshotLoad::Unreadable;
         }
     };
-    let reject = |what: &str| {
-        eprintln!("warning: study checkpoint ignored — {}: {what}", path.display());
-    };
-    let payload = match bin::read_envelope(STUDY_MAGIC, STUDY_VERSION, &bytes) {
-        Ok(p) => p,
-        Err(e) => {
-            reject(&e.to_string());
-            return SnapshotLoad::Rejected;
+    let checked = bin::read_envelope(STUDY_MAGIC, STUDY_VERSION, &bytes)
+        .and_then(Checkpoint::from_bytes)
+        .map_err(|e| e.to_string())
+        .and_then(|ck| study.check(&ck, optimizer).map(|()| ck));
+    match checked {
+        Ok(ck) => SnapshotLoad::Loaded(Box::new(ck)),
+        Err(why) => {
+            eprintln!("warning: study checkpoint ignored — {}: {why}", path.display());
+            SnapshotLoad::Rejected
         }
-    };
-    let mut r = Reader::new(payload);
-    let decoded = r.get_u8().and_then(|tag| match tag {
-        0 => StudyCheckpoint::decode(&mut r).map(RoundSnapshot::Scalar),
-        1 => ParetoCheckpoint::decode(&mut r).map(RoundSnapshot::Pareto),
-        t => Err(bin::DecodeError { offset: 0, what: format!("invalid snapshot tag {t}") }),
-    });
-    let snap = match decoded {
-        Ok(s) if r.is_done() => s,
-        Ok(_) => {
-            reject("trailing bytes");
-            return SnapshotLoad::Rejected;
-        }
-        Err(e) => {
-            reject(&e.to_string());
-            return SnapshotLoad::Rejected;
-        }
-    };
-
-    let (seed, marker, done, conv_len) = match &snap {
-        RoundSnapshot::Scalar(ck) => {
-            (ck.seed, ck.batch_size, ck.trials_done(), ck.convergence.len())
-        }
-        RoundSnapshot::Pareto(ck) => {
-            (ck.seed, ck.batch_size, ck.trials_done(), ck.guide_convergence.len())
-        }
-    };
-    let mode_matches = match (&snap, &study.objective) {
-        (RoundSnapshot::Scalar(_), StudyObjective::Single) => true,
-        (RoundSnapshot::Pareto(ck), StudyObjective::Pareto { directions }) => {
-            ck.archive.directions() == &directions[..]
-        }
-        _ => false,
-    };
-    let fid = match &snap {
-        RoundSnapshot::Scalar(ck) => ck.fidelity.as_ref(),
-        RoundSnapshot::Pareto(ck) => ck.fidelity.as_ref(),
-    };
-    // The fidelity axis must match exactly: adopting an exact study's file
-    // into a screened rerun (or a differently-screened one) would splice
-    // two different kept-trial sequences into one record.
-    let fidelity_matches = match (study.fidelity, fid) {
-        (Fidelity::Exact, None) => true,
-        (Fidelity::Screened { keep_fraction, min_full, tier }, Some(f)) => {
-            f.keep_fraction.to_bits() == keep_fraction.to_bits()
-                && f.min_full == min_full
-                && f.tier == tier
-        }
-        _ => false,
-    };
-    let expected_marker = if sequential { SEQUENTIAL_MARKER } else { round_size };
-    let on_grid =
-        if sequential { true } else { done.is_multiple_of(round_size) || done == study.trials };
-    if !mode_matches
-        || !fidelity_matches
-        || seed != study.seed
-        || marker != expected_marker
-        || done > study.trials
-        || conv_len != done
-        || !on_grid
-    {
-        reject("checkpoint belongs to a different study configuration");
-        return SnapshotLoad::Rejected;
     }
-    if !same_optimizer_config(snap.optimizer_state(), &optimizer.save_state()) {
-        reject("checkpoint was written by a different or differently-configured optimizer");
-        return SnapshotLoad::Rejected;
-    }
-    SnapshotLoad::Loaded(Box::new(snap))
 }
 
 #[cfg(test)]
@@ -1489,6 +1189,8 @@ mod tests {
                 reason: "denied".into(),
             },
             StudyConfigError::SerialEvalUnderParallelExecution,
+            StudyConfigError::KeepFractionOutOfRange,
+            StudyConfigError::ScreenedWithoutScreener,
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -1518,8 +1220,9 @@ mod tests {
 
     /// Kill-and-rerun through the file checkpoint: running the same
     /// configuration against the same directory resumes and finishes
-    /// bit-identically to an uninterrupted study — for the scalar, Pareto,
-    /// and sequential (shared-RNG replay) paths.
+    /// bit-identically to an uninterrupted study — scalar and Pareto, at
+    /// the default round size of one and at rounds of eight, serial and
+    /// parallel.
     #[test]
     fn checkpointed_rerun_is_bit_identical_for_every_axis_combination() {
         let s = space();
@@ -1533,7 +1236,7 @@ mod tests {
         let objectives =
             [StudyObjective::Single, StudyObjective::Pareto { directions: dirs.to_vec() }];
         let executions = [
-            Execution::Sequential,
+            Execution::Batched { batch_size: 1 },
             Execution::Batched { batch_size: 8 },
             Execution::Parallel { threads: 8 },
         ];
@@ -1612,6 +1315,22 @@ mod tests {
             assert_eq!(got.checkpoint.as_ref().unwrap().resumed_trials, 0, "{name}");
             assert_eq!(got.trials, straight.trials, "{name}");
         }
+
+        // A well-formed file of the previous format version (v2): only the
+        // version differs from a file this build would resume from, and it
+        // still cold-starts and is quarantined.
+        let current = scratch_dir("current-version");
+        let _ = run(3, Durability::Checkpointed { dir: current.clone(), every: 1 });
+        let bytes = std::fs::read(current.join(STUDY_FILE_NAME)).unwrap();
+        let payload = bin::read_envelope(STUDY_MAGIC, STUDY_VERSION, &bytes).unwrap();
+        let dir = scratch_dir("version-2");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(STUDY_FILE_NAME), bin::write_envelope(STUDY_MAGIC, 2, payload))
+            .unwrap();
+        let got = run(3, Durability::Checkpointed { dir: dir.clone(), every: 1 });
+        assert_eq!(got.checkpoint.as_ref().unwrap().resumed_trials, 0, "v2");
+        assert_eq!(got.trials, straight.trials, "v2");
+        assert!(dir.join("study.bin.rejected").exists(), "the v2 file must be quarantined");
 
         // A checkpoint from a different seed is ignored, not adopted —
         // and quarantined, not overwritten: its progress survives the
@@ -1764,20 +1483,20 @@ mod tests {
             .fidelity(screened(0.5, 1))
             .run(&mut opt, StudyEval::points(&mut eval));
         assert_eq!(got.map(|_| ()), Err(StudyConfigError::ScreenedWithoutScreener));
-        // Screened fidelity under sequential execution.
+        // Rounds of one (the default execution) are accepted and always
+        // keep their single candidate.
         let mut sc = ToyScreener::new(0);
-        let got = Study::new(&s, 8).fidelity(screened(0.5, 1)).run_screened(
-            &mut opt,
-            StudyEval::points(&mut eval),
-            &mut sc,
-        );
-        assert_eq!(got.map(|_| ()), Err(StudyConfigError::ScreenedSequentialExecution));
+        let report = Study::new(&s, 8)
+            .fidelity(screened(0.5, 1))
+            .run_with(&mut opt, StudyEval::points(&mut eval), Some(&mut sc), None)
+            .expect("valid configuration");
+        assert_eq!(report.fidelity.map(|f| f.screened_out), Some(0));
         // keep_fraction outside (0, 1] — including NaN.
         for bad in [0.0, -0.25, 1.5, f64::NAN] {
             let got = Study::new(&s, 8)
                 .execution(Execution::Batched { batch_size: 4 })
                 .fidelity(screened(bad, 1))
-                .run_screened(&mut opt, StudyEval::points(&mut eval), &mut sc);
+                .run_with(&mut opt, StudyEval::points(&mut eval), Some(&mut sc), None);
             assert_eq!(got.map(|_| ()), Err(StudyConfigError::KeepFractionOutOfRange), "{bad}");
         }
     }
@@ -1785,7 +1504,7 @@ mod tests {
     /// `Screened { keep_fraction: 1.0 }` keeps every proposal: the trial
     /// record, convergence curve, and frontier are bit-identical to the
     /// same study under `Fidelity::Exact` — only the fidelity report is
-    /// added. An exact study run through `run_screened` ignores the
+    /// added. An exact study handed a screener ignores the
     /// screener entirely.
     #[test]
     fn keep_everything_screening_degenerates_to_exact() {
@@ -1805,7 +1524,7 @@ mod tests {
         let mut sc = ToyScreener::new(0);
         let kept_all = base()
             .fidelity(screened(1.0, 0))
-            .run_screened(&mut opt, StudyEval::shared(&eval), &mut sc)
+            .run_with(&mut opt, StudyEval::shared(&eval), Some(&mut sc), None)
             .unwrap();
         assert_eq!(kept_all.trials, exact.trials);
         assert_eq!(
@@ -1819,7 +1538,8 @@ mod tests {
 
         let mut opt = LcsSwarm::default();
         let mut sc = ToyScreener::new(0);
-        let ignored = base().run_screened(&mut opt, StudyEval::shared(&eval), &mut sc).unwrap();
+        let ignored =
+            base().run_with(&mut opt, StudyEval::shared(&eval), Some(&mut sc), None).unwrap();
         assert_eq!(ignored.trials, exact.trials);
         assert!(ignored.fidelity.is_none(), "Exact fidelity reports no screening");
         assert_eq!(sc.seen, 0, "Exact fidelity never touches the screener");
@@ -1847,7 +1567,7 @@ mod tests {
             .objective(StudyObjective::pareto(&dirs))
             .execution(Execution::Batched { batch_size: 8 })
             .fidelity(screened(0.25, 2))
-            .run_screened(&mut opt, StudyEval::batch(&mut eval), &mut sc)
+            .run_with(&mut opt, StudyEval::batch(&mut eval), Some(&mut sc), None)
             .unwrap();
         let fid = report.fidelity.expect("screened studies report fidelity");
         assert_eq!(fid.full_evals, 8 + 7 * 2);
@@ -1890,7 +1610,7 @@ mod tests {
                     .execution(Execution::Batched { batch_size: 8 })
                     .fidelity(screened(0.25, 2))
                     .durability(durability)
-                    .run_screened(&mut opt, StudyEval::shared(&eval), sc)
+                    .run_with(&mut opt, StudyEval::shared(&eval), Some(sc), None)
                     .unwrap()
             };
             let straight = run(64, Durability::Ephemeral, &mut mk_sc());
@@ -1931,7 +1651,7 @@ mod tests {
                 .run(&mut opt, StudyEval::shared(&eval))
                 .unwrap()
         };
-        let run_screened = |trials: usize| {
+        let screened_run = |trials: usize| {
             let mut opt = RandomSearch::new();
             let mut sc = ToyScreener::new(4);
             Study::new(&s, trials)
@@ -1939,11 +1659,11 @@ mod tests {
                 .execution(Execution::Batched { batch_size: 4 })
                 .fidelity(screened(0.5, 1))
                 .durability(Durability::Checkpointed { dir: dir.clone(), every: 1 })
-                .run_screened(&mut opt, StudyEval::shared(&eval), &mut sc)
+                .run_with(&mut opt, StudyEval::shared(&eval), Some(&mut sc), None)
                 .unwrap()
         };
         let _ = run_exact(16);
-        let got = run_screened(16);
+        let got = screened_run(16);
         assert_eq!(
             got.checkpoint.as_ref().unwrap().resumed_trials,
             0,

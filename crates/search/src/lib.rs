@@ -13,18 +13,18 @@
 //! * [`Study`] — the **unified study builder**: one driver whose orthogonal
 //!   axes replace the old `run_study_*` function family — objective
 //!   ([`StudyObjective::Single`] incumbent or [`StudyObjective::Pareto`]
-//!   frontier over a [`ParetoArchive`]), execution
-//!   ([`Execution::Sequential`] / [`Execution::Batched`] /
-//!   [`Execution::Parallel`]), durability ([`Durability::Ephemeral`] or
-//!   [`Durability::Checkpointed`]) and seed, validated at
-//!   [`Study::run`] time with a typed [`StudyConfigError`] and returning
-//!   one [`StudyReport`];
+//!   frontier over a [`ParetoArchive`]), execution ([`Execution::Batched`]
+//!   rounds of per-trial [`trial_rng`] proposals, or [`Execution::Parallel`]
+//!   rounds scored concurrently), durability ([`Durability::Ephemeral`] or
+//!   [`Durability::Checkpointed`]), fidelity ([`Fidelity`]) and seed,
+//!   validated at [`Study::run`] time with a typed [`StudyConfigError`] and
+//!   returning one [`StudyReport`];
 //! * [`convergence_band`] — multi-run mean/CI aggregation for Figure 11;
-//! * [`snapshot`] — the durable-study substrate: [`StudyCheckpoint`] /
-//!   [`ParetoCheckpoint`] capture a study at a round boundary (archive,
-//!   convergence, trials, [`OptimizerState`], and the `trial_rng` cursor as
-//!   `(seed, trials_done)`); [`Durability::Checkpointed`] persists one per
-//!   round interval and resumes it bit-identically —
+//! * [`snapshot`] — the durable-study substrate: one checkpoint record
+//!   captures a study at a round boundary (incumbent, archive, convergence,
+//!   trials, [`OptimizerState`], screening state, and the `trial_rng`
+//!   cursor as `(seed, trials_done)`); [`Durability::Checkpointed`]
+//!   persists one per round interval and resumes it bit-identically —
 //!   interrupted-then-resumed equals uninterrupted.
 //!
 //! ```
@@ -61,7 +61,7 @@ pub use pareto::{
     FrontierPoint, MetricDirection, MultiObjective, MultiTrial, ParetoArchive, ParetoStudyResult,
 };
 pub use screen::{Fidelity, FidelityReport, Screener, SurrogateTier};
-pub use snapshot::{FidelityCheckpoint, OptimizerState, ParetoCheckpoint, StudyCheckpoint};
+pub use snapshot::OptimizerState;
 pub use space::{ParamDef, ParamDomain, ParamSpace};
 pub use stats::{kendall_tau, spearman_rank};
 pub use study::{convergence_band, trial_rng, ConvergenceBand, StudyResult};
@@ -230,7 +230,7 @@ mod proptests {
         /// The fidelity axis is inert for exact studies: a study built
         /// without touching the axis, one with an explicit
         /// [`Fidelity::Exact`], and one handed a screener through
-        /// `run_screened` all produce bit-identical reports — across every
+        /// `run_with` all produce bit-identical reports — across every
         /// optimizer and execution shape — and the ignored screener is
         /// never called.
         #[test]
@@ -241,11 +241,9 @@ mod proptests {
             opt_ix in 0usize..3,
         ) {
             let (space, dirs, eval) = fidelity_fixture();
-            for execution in [
-                Execution::Sequential,
-                Execution::Batched { batch_size },
-                Execution::Parallel { threads },
-            ] {
+            for execution in
+                [Execution::Batched { batch_size }, Execution::Parallel { threads }]
+            {
                 let base = || {
                     Study::new(&space, 40)
                         .seed(seed)
@@ -262,7 +260,7 @@ mod proptests {
                 let mut sc = OracleScreener { seen: 0 };
                 let handed = base()
                     .fidelity(Fidelity::Exact)
-                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &mut sc)
+                    .run_with(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), Some(&mut sc), None)
                     .expect("valid configuration");
                 prop_assert_eq!(sc.seen, 0, "Exact fidelity must never touch the screener");
                 for report in [&explicit, &handed] {
@@ -313,7 +311,7 @@ mod proptests {
                         min_full,
                         tier: SurrogateTier::S0,
                     })
-                    .run_screened(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), &mut sc)
+                    .run_with(make_opt(opt_ix).as_mut(), StudyEval::shared(&eval), Some(&mut sc), None)
                     .expect("valid configuration");
                 prop_assert_eq!(&screened.trials, &exact.trials);
                 prop_assert_eq!(&screened.frontier, &exact.frontier);

@@ -66,8 +66,8 @@ pub trait Optimizer {
     /// Records a batch of completed trials, in proposal order.
     ///
     /// The default implementation forwards to [`Optimizer::observe`] one
-    /// trial at a time, so sequential and batched studies feed algorithms
-    /// identical observation streams.
+    /// trial at a time, so observing a round equals observing its trials
+    /// one by one.
     fn observe_batch(&mut self, space: &ParamSpace, trials: &[Trial]) {
         for trial in trials {
             self.observe(space, trial);

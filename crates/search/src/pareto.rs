@@ -12,9 +12,8 @@
 //! * the multi-objective study itself now runs through the unified
 //!   [`crate::Study`] builder
 //!   (`.objective(StudyObjective::Pareto { .. })`), which keeps the scalar
-//!   drivers' `trial_rng(seed, index)` determinism contract, so
-//!   batched/parallel evaluation reproduces the sequential study frontier
-//!   bit for bit.
+//!   drivers' `trial_rng(seed, index)` determinism contract, so parallel
+//!   evaluation reproduces the serial study frontier bit for bit.
 
 use crate::optimizer::TrialResult;
 use serde::{Deserialize, Serialize};
@@ -121,7 +120,7 @@ pub struct FrontierPoint {
 /// (same point *and* metrics) are inserted once. [`ParetoArchive::frontier`]
 /// returns the set in a canonical sort order, so two archives holding the
 /// same set render identically — the basis of the order-invariance and
-/// parallel-equals-sequential guarantees.
+/// parallel-equals-serial guarantees.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParetoArchive {
     directions: Vec<MetricDirection>,
@@ -293,9 +292,9 @@ pub struct ParetoStudyResult {
 mod tests {
     use super::*;
     use crate::algorithms::RandomSearch;
-    use crate::builder::{Execution, RoundSnapshot, Study, StudyEval, StudyObjective};
+    use crate::builder::{Execution, Study, StudyEval, StudyObjective};
     use crate::optimizer::{Optimizer, Trial};
-    use crate::snapshot::ParetoCheckpoint;
+    use crate::snapshot::Checkpoint;
     use crate::space::{ParamDomain, ParamSpace};
     use rand::rngs::StdRng;
     use MetricDirection::{Maximize, Minimize};
@@ -307,7 +306,7 @@ mod tests {
         s
     }
 
-    /// Sequential (batch-1) Pareto study in the one modern spelling.
+    /// Pareto study in rounds of one.
     fn run_pareto(
         space: &ParamSpace,
         optimizer: &mut dyn Optimizer,
@@ -356,28 +355,17 @@ mod tests {
         batch_size: usize,
         seed: u64,
         directions: &[MetricDirection],
-        resume_from: Option<ParetoCheckpoint>,
+        resume_from: Option<Checkpoint>,
         mut evaluate_batch: impl FnMut(&[Vec<usize>]) -> Vec<MultiObjective>,
-        mut on_round: impl FnMut(&ParetoCheckpoint),
+        mut on_round: impl FnMut(&Checkpoint),
     ) -> ParetoStudyResult {
         let mut eval = |points: &[Vec<usize>]| evaluate_batch(points);
-        let mut hook = |_p: &crate::StudyProgress, make: &dyn Fn() -> RoundSnapshot| {
-            let RoundSnapshot::Pareto(ck) = make() else {
-                unreachable!("a Pareto study emits Pareto snapshots")
-            };
-            on_round(&ck);
-        };
+        let mut hook = |_p: &crate::StudyProgress, make: &dyn Fn() -> Checkpoint| on_round(&make());
         Study::new(space, n_trials)
             .seed(seed)
             .objective(StudyObjective::pareto(directions))
             .execution(Execution::Batched { batch_size })
-            .run_hooked(
-                optimizer,
-                StudyEval::batch(&mut eval),
-                None,
-                resume_from.map(RoundSnapshot::Pareto),
-                Some(&mut hook),
-            )
+            .run_hooked(optimizer, StudyEval::batch(&mut eval), None, resume_from, Some(&mut hook))
             .into_pareto_result()
     }
 
@@ -490,7 +478,6 @@ mod tests {
     #[test]
     fn resumed_study_is_bit_identical_to_uninterrupted() {
         use crate::algorithms::{LcsSwarm, Tpe};
-        use crate::snapshot::ParetoCheckpoint;
 
         let s = space();
         let dirs = [Maximize, Minimize];
@@ -520,7 +507,7 @@ mod tests {
 
             // Capture checkpoints at every round boundary, then resume from
             // a mid-study one with a fresh optimizer.
-            let mut checkpoints: Vec<ParetoCheckpoint> = Vec::new();
+            let mut checkpoints: Vec<Checkpoint> = Vec::new();
             let mut first_opt = mk();
             let _ = run_pareto_resumable(
                 &s,
@@ -535,7 +522,7 @@ mod tests {
             );
             assert_eq!(checkpoints.len(), 4, "{}: one checkpoint per round", first_opt.name());
             let ck = checkpoints[2].clone(); // killed after 24 of 60 trials
-            assert_eq!(ck.trials_done(), 24);
+            assert_eq!(ck.state.trials.len(), 24);
 
             let mut resumed_opt = mk();
             let resumed = run_pareto_resumable(

@@ -1,5 +1,6 @@
-//! Serializable search state: optimizer snapshots, study checkpoints, and
-//! the binary-codec impls for every search type that appears in them.
+//! Serializable search state: optimizer snapshots, the study checkpoint
+//! record, and the binary-codec impls for every search type that appears
+//! in them.
 //!
 //! The durability contract of this module is *bit-identity*: a study that
 //! is checkpointed after round `k` and resumed produces exactly the result
@@ -11,111 +12,18 @@
 //!   so resume restores it directly;
 //! * when an optimizer cannot restore from a state (a custom
 //!   [`crate::Optimizer`] returning the default [`OptimizerState::Opaque`]),
-//!   the resumable drivers *replay* the recorded proposal/observation
-//!   stream instead — exact by the `trial_rng(seed, index)` determinism
-//!   contract, since proposals depend only on (seed, trial index,
-//!   observation history).
+//!   resume *replays* the recorded proposal/observation stream instead —
+//!   exact by the `trial_rng(seed, index)` determinism contract, since
+//!   proposals depend only on (seed, trial index, observation history).
 //!
 //! The `trial_rng` cursor itself needs no RNG serialization: per-trial
 //! generators are pure functions of `(seed, index)`, so persisting the
 //! seed and the number of completed trials *is* the cursor.
 
-use crate::optimizer::{Optimizer, Trial, TrialResult};
+use crate::builder::EngineState;
 use crate::pareto::{FrontierPoint, MetricDirection, MultiObjective, MultiTrial, ParetoArchive};
 use crate::screen::{Fidelity, FidelityReport, SurrogateTier};
-use crate::space::ParamSpace;
-use crate::study::trial_rng;
-use rand::rngs::StdRng;
 use serde::bin::{Decode, DecodeError, Encode, Reader, Writer};
-
-/// Shared checkpoint validation + optimizer restoration for resumable
-/// studies (`Durability::Checkpointed`, scalar and Pareto alike).
-///
-/// `scalar_trials` is the checkpoint's recorded trial stream in the form
-/// the optimizer observed it (Pareto callers map each `MultiTrial`'s guide
-/// down to a scalar [`Trial`]); `convergence_len` is the checkpoint's
-/// convergence-curve length, which must pair one-to-one with the trials.
-///
-/// # Panics
-/// Panics if the checkpoint disagrees with the study configuration —
-/// including a trial count that is neither a round boundary of this study
-/// nor a completed study, which would silently break the bit-identity
-/// contract by regrouping observations (the rounds of the resumed run
-/// must be the rounds the uninterrupted run would have formed).
-#[allow(clippy::too_many_arguments)] // one call site per driver; a struct would obscure the contract
-pub(crate) fn validate_and_restore(
-    space: &ParamSpace,
-    optimizer: &mut dyn Optimizer,
-    n_trials: usize,
-    batch_size: usize,
-    seed: u64,
-    ck_seed: u64,
-    ck_batch_size: usize,
-    convergence_len: usize,
-    state: &OptimizerState,
-    scalar_trials: &[Trial],
-) {
-    validate_checkpoint_header(
-        n_trials,
-        batch_size,
-        seed,
-        ck_seed,
-        ck_batch_size,
-        convergence_len,
-        scalar_trials.len(),
-    );
-    assert!(
-        scalar_trials.len().is_multiple_of(batch_size) || scalar_trials.len() == n_trials,
-        "checkpoint at {} trials is not a round boundary of a batch-{batch_size} study \
-         over {n_trials} trials: resuming would regroup observations and diverge from an \
-         uninterrupted run",
-        scalar_trials.len()
-    );
-    if !optimizer.load_state(state) {
-        // Replay the recorded proposal/observation stream — exact by the
-        // trial_rng determinism contract.
-        let mut start = 0;
-        while start < scalar_trials.len() {
-            let round = batch_size.min(scalar_trials.len() - start);
-            let mut rngs: Vec<StdRng> =
-                (start..start + round).map(|i| trial_rng(seed, i)).collect();
-            let points = optimizer.propose_batch(space, &mut rngs);
-            let recorded = &scalar_trials[start..start + round];
-            assert!(points.iter().zip(recorded).all(|(p, t)| *p == t.point), "{REPLAY_DIVERGED}");
-            optimizer.observe_batch(space, recorded);
-            start += round;
-        }
-    }
-}
-
-/// The header checks shared by every resume path — seed, batch marker,
-/// trial budget, convergence/trial pairing. The batched drivers add the
-/// round-grid check on top; the sequential path replays per trial, so any
-/// count is a boundary for it.
-pub(crate) fn validate_checkpoint_header(
-    n_trials: usize,
-    batch_size: usize,
-    seed: u64,
-    ck_seed: u64,
-    ck_batch_size: usize,
-    convergence_len: usize,
-    trials_len: usize,
-) {
-    assert_eq!(ck_seed, seed, "checkpoint seed mismatch");
-    assert_eq!(ck_batch_size, batch_size, "checkpoint batch-size mismatch");
-    assert!(
-        trials_len <= n_trials,
-        "checkpoint holds {trials_len} trials but the study budget is {n_trials}"
-    );
-    assert_eq!(convergence_len, trials_len, "checkpoint convergence/trial length mismatch");
-}
-
-/// Panic message of a resume whose replayed proposals do not match the
-/// checkpoint's record — shared so the batched and sequential replay paths
-/// cannot drift apart.
-pub(crate) const REPLAY_DIVERGED: &str =
-    "replayed optimizer diverged from the checkpoint's proposal record \
-     (was the optimizer configured differently?)";
 
 /// Snapshot of a built-in optimizer's internal state.
 ///
@@ -236,42 +144,6 @@ impl Decode for OptimizerState {
             4 => Ok(OptimizerState::Opaque),
             t => Err(DecodeError { offset: 0, what: format!("invalid OptimizerState tag {t}") }),
         }
-    }
-}
-
-impl Encode for TrialResult {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TrialResult::Valid(v) => {
-                w.put_u8(0);
-                v.encode(w);
-            }
-            TrialResult::Invalid => w.put_u8(1),
-        }
-    }
-}
-
-impl Decode for TrialResult {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(TrialResult::Valid(Decode::decode(r)?)),
-            1 => Ok(TrialResult::Invalid),
-            t => Err(DecodeError { offset: 0, what: format!("invalid TrialResult tag {t}") }),
-        }
-    }
-}
-
-impl Encode for Trial {
-    fn encode(&self, w: &mut Writer) {
-        let Trial { point, result } = self;
-        point.encode(w);
-        result.encode(w);
-    }
-}
-
-impl Decode for Trial {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Trial { point: Decode::decode(r)?, result: Decode::decode(r)? })
     }
 }
 
@@ -453,215 +325,94 @@ impl Decode for ParetoArchive {
     }
 }
 
-/// Screening state at a round boundary — the sidecar a
-/// [`crate::Fidelity::Screened`] study adds to its checkpoint so a resumed
-/// run screens exactly as the uninterrupted one would have. The screening
-/// *RNG* needs no cursor of its own: each round's exploration pick is drawn
-/// from a pure function of `(study seed, round start index)`, so the
-/// trial count the checkpoint already records is the cursor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FidelityCheckpoint {
-    /// Configured keep fraction (identity-checked on resume).
-    pub keep_fraction: f64,
-    /// Configured per-round full-evaluation floor.
-    pub min_full: usize,
-    /// Configured surrogate tier.
-    pub tier: SurrogateTier,
-    /// Trials that reached the real evaluator so far.
-    pub full_evals: usize,
-    /// Trials screened out so far.
-    pub screened_out: usize,
-    /// Accumulated `(surrogate score, true guide)` correlation pairs.
-    pub pairs: Vec<(f64, f64)>,
-    /// The screener's serialized state ([`crate::Screener::save_state`]).
-    pub screener: Vec<u8>,
-    /// `(trial index, surrogate score)` of every screened-out trial. Scalar
-    /// checkpoints store the lossy stream the optimizer observed (where a
-    /// screened-out trial is a plain `Invalid`), so the Surrogate markings
-    /// are reconstructed from this list on restore.
-    pub screened: Vec<(usize, f64)>,
+impl Encode for EngineState {
+    fn encode(&self, w: &mut Writer) {
+        let EngineState { best, convergence, invalid, trials, archive } = self;
+        best.encode(w);
+        convergence.encode(w);
+        invalid.encode(w);
+        trials.encode(w);
+        archive.encode(w);
+    }
 }
 
-impl Encode for FidelityCheckpoint {
+impl Decode for EngineState {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(EngineState {
+            best: Decode::decode(r)?,
+            convergence: Decode::decode(r)?,
+            invalid: Decode::decode(r)?,
+            trials: Decode::decode(r)?,
+            archive: Decode::decode(r)?,
+        })
+    }
+}
+
+/// A [`crate::Study`] at a round boundary — everything needed to resume it
+/// bit-identically. One record serves every objective: the engine state is
+/// stored as the run held it, so a single-objective study simply carries
+/// no archive. The screening fields stay empty under [`Fidelity::Exact`].
+/// The screening RNG needs no cursor of its own: each round's exploration
+/// pick is a pure function of `(seed, round start index)`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Checkpoint {
+    /// Study seed (with the trial count, the whole `trial_rng` cursor).
+    pub(crate) seed: u64,
+    /// Trials per round.
+    pub(crate) round_size: usize,
+    /// Incumbent, convergence curve, invalid count, trials and archive.
+    pub(crate) state: EngineState,
+    /// Optimizer state at the boundary.
+    pub(crate) optimizer: OptimizerState,
+    /// The fidelity axis the study ran with.
+    pub(crate) fidelity: Fidelity,
+    /// Trials that reached the real evaluator so far.
+    pub(crate) full_evals: usize,
+    /// Trials screened out so far.
+    pub(crate) screened_out: usize,
+    /// Accumulated `(surrogate score, true guide)` correlation pairs.
+    pub(crate) pairs: Vec<(f64, f64)>,
+    /// The screener's serialized state ([`crate::Screener::save_state`]).
+    pub(crate) screener: Vec<u8>,
+}
+
+impl Encode for Checkpoint {
     fn encode(&self, w: &mut Writer) {
-        let FidelityCheckpoint {
-            keep_fraction,
-            min_full,
-            tier,
+        let Checkpoint {
+            seed,
+            round_size,
+            state,
+            optimizer,
+            fidelity,
             full_evals,
             screened_out,
             pairs,
             screener,
-            screened,
         } = self;
-        keep_fraction.encode(w);
-        min_full.encode(w);
-        tier.encode(w);
+        seed.encode(w);
+        round_size.encode(w);
+        state.encode(w);
+        optimizer.encode(w);
+        fidelity.encode(w);
         full_evals.encode(w);
         screened_out.encode(w);
         pairs.encode(w);
         screener.encode(w);
-        screened.encode(w);
     }
 }
 
-impl Decode for FidelityCheckpoint {
+impl Decode for Checkpoint {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FidelityCheckpoint {
-            keep_fraction: Decode::decode(r)?,
-            min_full: Decode::decode(r)?,
-            tier: Decode::decode(r)?,
+        Ok(Checkpoint {
+            seed: Decode::decode(r)?,
+            round_size: Decode::decode(r)?,
+            state: Decode::decode(r)?,
+            optimizer: Decode::decode(r)?,
+            fidelity: Decode::decode(r)?,
             full_evals: Decode::decode(r)?,
             screened_out: Decode::decode(r)?,
             pairs: Decode::decode(r)?,
             screener: Decode::decode(r)?,
-            screened: Decode::decode(r)?,
-        })
-    }
-}
-
-/// Progress of a scalar batched [`crate::Study`] at a round boundary —
-/// everything needed to resume it bit-identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StudyCheckpoint {
-    /// Study seed (with [`StudyCheckpoint::trials_done`], the whole
-    /// `trial_rng` cursor).
-    pub seed: u64,
-    /// Round size the study was launched with.
-    pub batch_size: usize,
-    /// Incumbent `(point, objective)`.
-    pub best: Option<(Vec<usize>, f64)>,
-    /// Best-so-far curve over completed trials.
-    pub convergence: Vec<f64>,
-    /// Safe-search rejections so far.
-    pub invalid_trials: usize,
-    /// Completed trials, in proposal order.
-    pub trials: Vec<Trial>,
-    /// Optimizer state at the boundary.
-    pub optimizer: OptimizerState,
-    /// Screening state — `Some` iff the study ran with
-    /// [`crate::Fidelity::Screened`].
-    pub fidelity: Option<FidelityCheckpoint>,
-}
-
-impl StudyCheckpoint {
-    /// Number of completed trials — the `trial_rng(seed, index)` cursor:
-    /// resuming continues with index `trials_done()`.
-    #[must_use]
-    pub fn trials_done(&self) -> usize {
-        self.trials.len()
-    }
-}
-
-impl Encode for StudyCheckpoint {
-    fn encode(&self, w: &mut Writer) {
-        let StudyCheckpoint {
-            seed,
-            batch_size,
-            best,
-            convergence,
-            invalid_trials,
-            trials,
-            optimizer,
-            fidelity,
-        } = self;
-        seed.encode(w);
-        batch_size.encode(w);
-        best.encode(w);
-        convergence.encode(w);
-        invalid_trials.encode(w);
-        trials.encode(w);
-        optimizer.encode(w);
-        fidelity.encode(w);
-    }
-}
-
-impl Decode for StudyCheckpoint {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(StudyCheckpoint {
-            seed: Decode::decode(r)?,
-            batch_size: Decode::decode(r)?,
-            best: Decode::decode(r)?,
-            convergence: Decode::decode(r)?,
-            invalid_trials: Decode::decode(r)?,
-            trials: Decode::decode(r)?,
-            optimizer: Decode::decode(r)?,
-            fidelity: Decode::decode(r)?,
-        })
-    }
-}
-
-/// Progress of a Pareto batched [`crate::Study`] at a round boundary —
-/// everything needed to resume it bit-identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParetoCheckpoint {
-    /// Study seed (with [`ParetoCheckpoint::trials_done`], the whole
-    /// `trial_rng` cursor).
-    pub seed: u64,
-    /// Round size the study was launched with.
-    pub batch_size: usize,
-    /// The non-dominated set so far.
-    pub archive: ParetoArchive,
-    /// Best guide scalar so far (`NaN` before the first valid trial).
-    pub best_guide: f64,
-    /// Guide best-so-far curve over completed trials.
-    pub guide_convergence: Vec<f64>,
-    /// Safe-search rejections so far.
-    pub invalid_trials: usize,
-    /// Completed trials, in proposal order.
-    pub trials: Vec<MultiTrial>,
-    /// Optimizer state at the boundary.
-    pub optimizer: OptimizerState,
-    /// Screening state — `Some` iff the study ran with
-    /// [`crate::Fidelity::Screened`].
-    pub fidelity: Option<FidelityCheckpoint>,
-}
-
-impl ParetoCheckpoint {
-    /// Number of completed trials — the `trial_rng(seed, index)` cursor.
-    #[must_use]
-    pub fn trials_done(&self) -> usize {
-        self.trials.len()
-    }
-}
-
-impl Encode for ParetoCheckpoint {
-    fn encode(&self, w: &mut Writer) {
-        let ParetoCheckpoint {
-            seed,
-            batch_size,
-            archive,
-            best_guide,
-            guide_convergence,
-            invalid_trials,
-            trials,
-            optimizer,
-            fidelity,
-        } = self;
-        seed.encode(w);
-        batch_size.encode(w);
-        archive.encode(w);
-        best_guide.encode(w);
-        guide_convergence.encode(w);
-        invalid_trials.encode(w);
-        trials.encode(w);
-        optimizer.encode(w);
-        fidelity.encode(w);
-    }
-}
-
-impl Decode for ParetoCheckpoint {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ParetoCheckpoint {
-            seed: Decode::decode(r)?,
-            batch_size: Decode::decode(r)?,
-            archive: Decode::decode(r)?,
-            best_guide: Decode::decode(r)?,
-            guide_convergence: Decode::decode(r)?,
-            invalid_trials: Decode::decode(r)?,
-            trials: Decode::decode(r)?,
-            optimizer: Decode::decode(r)?,
-            fidelity: Decode::decode(r)?,
         })
     }
 }
@@ -669,6 +420,7 @@ impl Decode for ParetoCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::StudyObjective;
     use crate::pareto::MetricDirection::{Maximize, Minimize};
 
     #[test]
@@ -729,77 +481,99 @@ mod tests {
         assert!(ParetoArchive::from_bytes(&w.into_bytes()).is_err());
     }
 
+    /// A checkpoint of `trials`, its engine state built the way a run
+    /// builds it.
+    fn checkpoint(
+        objective: &StudyObjective,
+        trials: Vec<MultiTrial>,
+        fidelity: Fidelity,
+        optimizer: OptimizerState,
+    ) -> Checkpoint {
+        let mut state = EngineState::new(objective);
+        for t in trials {
+            state.absorb(&t.point, &t.result);
+            state.push_trial(t.point, t.result);
+        }
+        Checkpoint {
+            seed: 7,
+            round_size: 8,
+            state,
+            optimizer,
+            fidelity,
+            full_evals: 0,
+            screened_out: 0,
+            pairs: Vec::new(),
+            screener: Vec::new(),
+        }
+    }
+
+    /// Decoding then re-encoding reproduces the bytes exactly (NaN included,
+    /// which `PartialEq` would reject).
+    fn assert_round_trips(ck: &Checkpoint) -> Checkpoint {
+        let bytes = ck.to_bytes();
+        let back = Checkpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes);
+        back
+    }
+
     #[test]
     fn pareto_checkpoint_round_trips() {
-        let mut archive = ParetoArchive::new(&[Maximize, Minimize]);
-        archive.insert(vec![3], vec![1.0, 2.0]);
-        let ck = ParetoCheckpoint {
-            seed: 7,
-            batch_size: 8,
-            archive,
-            best_guide: 0.5,
-            guide_convergence: vec![f64::NAN, 0.5],
-            invalid_trials: 1,
-            trials: vec![
+        let ck = checkpoint(
+            &StudyObjective::pareto(&[Maximize, Minimize]),
+            vec![
                 MultiTrial { point: vec![0], result: MultiObjective::Invalid },
                 MultiTrial { point: vec![3], result: MultiObjective::valid(vec![1.0, 2.0], 0.5) },
             ],
-            optimizer: OptimizerState::Random,
-            fidelity: None,
-        };
-        let back = ParetoCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+            Fidelity::Exact,
+            OptimizerState::Random,
+        );
+        let back = assert_round_trips(&ck);
         assert_eq!(back.seed, ck.seed);
-        assert_eq!(back.trials, ck.trials);
-        assert_eq!(back.trials_done(), 2);
-        assert_eq!(back.archive.frontier(), ck.archive.frontier());
-        // NaN round-trips bit-exactly (PartialEq would reject it).
-        assert!(back.guide_convergence[0].is_nan());
-        assert_eq!(back.guide_convergence[1].to_bits(), 0.5f64.to_bits());
+        assert_eq!(back.state.trials, ck.state.trials);
+        assert_eq!(back.state.best, Some((vec![3], 0.5)));
+        assert_eq!(back.state.archive.unwrap().frontier(), ck.state.archive.unwrap().frontier());
+        assert!(back.state.convergence[0].is_nan());
+        assert_eq!(back.state.convergence[1].to_bits(), 0.5f64.to_bits());
     }
 
     #[test]
     fn scalar_checkpoint_round_trips() {
-        let ck = StudyCheckpoint {
-            seed: 3,
-            batch_size: 4,
-            best: Some((vec![1, 2], 9.0)),
-            convergence: vec![9.0],
-            invalid_trials: 0,
-            trials: vec![Trial { point: vec![1, 2], result: TrialResult::Valid(9.0) }],
-            optimizer: OptimizerState::Tpe {
+        let ck = checkpoint(
+            &StudyObjective::Single,
+            vec![MultiTrial { point: vec![1, 2], result: MultiObjective::valid(Vec::new(), 9.0) }],
+            Fidelity::Exact,
+            OptimizerState::Tpe {
                 history: vec![(vec![1, 2], Some(9.0))],
                 gamma: 0.25,
                 candidates: 24,
                 startup: 16,
             },
-            fidelity: None,
-        };
-        assert_eq!(StudyCheckpoint::from_bytes(&ck.to_bytes()).unwrap(), ck);
+        );
+        assert_eq!(assert_round_trips(&ck), ck);
     }
 
+    /// The screening state rides in the same record, and screened-out
+    /// trials keep their `Surrogate` outcomes in the trial record itself.
     #[test]
     fn fidelity_checkpoint_round_trips_inside_a_scalar_checkpoint() {
-        let fid = FidelityCheckpoint {
-            keep_fraction: 0.25,
-            min_full: 2,
-            tier: SurrogateTier::S1,
-            full_evals: 6,
-            screened_out: 2,
-            pairs: vec![(1.5, 2.5), (f64::NEG_INFINITY, 0.0)],
-            screener: vec![1, 2, 3],
-            screened: vec![(3, 0.75), (5, f64::NEG_INFINITY)],
-        };
-        let ck = StudyCheckpoint {
-            seed: 11,
-            batch_size: 4,
-            best: Some((vec![0], 1.0)),
-            convergence: vec![1.0],
-            invalid_trials: 0,
-            trials: vec![Trial { point: vec![0], result: TrialResult::Valid(1.0) }],
-            optimizer: OptimizerState::Random,
-            fidelity: Some(fid),
-        };
-        assert_eq!(StudyCheckpoint::from_bytes(&ck.to_bytes()).unwrap(), ck);
+        let mut ck = checkpoint(
+            &StudyObjective::Single,
+            vec![
+                MultiTrial { point: vec![0], result: MultiObjective::valid(Vec::new(), 1.0) },
+                MultiTrial { point: vec![1], result: MultiObjective::Surrogate { guide: 0.75 } },
+                MultiTrial {
+                    point: vec![2],
+                    result: MultiObjective::Surrogate { guide: f64::NEG_INFINITY },
+                },
+            ],
+            Fidelity::Screened { keep_fraction: 0.25, min_full: 2, tier: SurrogateTier::S1 },
+            OptimizerState::Random,
+        );
+        ck.full_evals = 6;
+        ck.screened_out = 2;
+        ck.pairs = vec![(1.5, 2.5), (f64::NEG_INFINITY, 0.0)];
+        ck.screener = vec![1, 2, 3];
+        assert_eq!(assert_round_trips(&ck), ck);
     }
 
     #[test]

@@ -102,10 +102,10 @@ pub fn convergence_band(curves: &[Vec<f64>], z: f64) -> ConvergenceBand {
 mod tests {
     use super::*;
     use crate::algorithms::{LcsSwarm, RandomSearch};
-    use crate::builder::{Execution, RoundSnapshot, Study, StudyEval};
+    use crate::builder::{Execution, Study, StudyEval};
     use crate::optimizer::{Optimizer, TrialResult};
     use crate::pareto::MultiObjective;
-    use crate::snapshot::StudyCheckpoint;
+    use crate::snapshot::Checkpoint;
     use crate::space::{ParamDomain, ParamSpace};
 
     fn space() -> ParamSpace {
@@ -115,7 +115,7 @@ mod tests {
         s
     }
 
-    /// Sequential scalar study in the one modern spelling.
+    /// Scalar study at the default round size of one.
     fn run_scalar(
         space: &ParamSpace,
         optimizer: &mut dyn Optimizer,
@@ -160,29 +160,18 @@ mod tests {
         n_trials: usize,
         batch_size: usize,
         seed: u64,
-        resume_from: Option<StudyCheckpoint>,
+        resume_from: Option<Checkpoint>,
         mut evaluate_batch: impl FnMut(&[Vec<usize>]) -> Vec<TrialResult>,
-        mut on_round: impl FnMut(&StudyCheckpoint),
+        mut on_round: impl FnMut(&Checkpoint),
     ) -> StudyResult {
         let mut eval = |points: &[Vec<usize>]| {
             evaluate_batch(points).into_iter().map(MultiObjective::from).collect::<Vec<_>>()
         };
-        let mut hook = |_p: &crate::StudyProgress, make: &dyn Fn() -> RoundSnapshot| {
-            let RoundSnapshot::Scalar(ck) = make() else {
-                unreachable!("a single-objective study emits scalar snapshots")
-            };
-            on_round(&ck);
-        };
+        let mut hook = |_p: &crate::StudyProgress, make: &dyn Fn() -> Checkpoint| on_round(&make());
         Study::new(space, n_trials)
             .seed(seed)
             .execution(Execution::Batched { batch_size })
-            .run_hooked(
-                optimizer,
-                StudyEval::batch(&mut eval),
-                None,
-                resume_from.map(RoundSnapshot::Scalar),
-                Some(&mut hook),
-            )
+            .run_hooked(optimizer, StudyEval::batch(&mut eval), None, resume_from, Some(&mut hook))
             .into_study_result()
     }
 
@@ -309,7 +298,6 @@ mod tests {
     /// resume with a fresh optimizer, end bit-identical.
     #[test]
     fn scalar_resumed_study_matches_uninterrupted() {
-        use crate::snapshot::StudyCheckpoint;
         let s = space();
         let objective = |pts: &[Vec<usize>]| -> Vec<TrialResult> {
             pts.iter()
@@ -325,13 +313,13 @@ mod tests {
         let mut straight_opt = LcsSwarm::default();
         let straight = run_batched(&s, &mut straight_opt, 50, 5, 17, objective);
 
-        let mut checkpoints: Vec<StudyCheckpoint> = Vec::new();
+        let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let mut first = LcsSwarm::default();
         let _ = run_resumable(&s, &mut first, 25, 5, 17, None, objective, |ck| {
             checkpoints.push(ck.clone());
         });
         let ck = checkpoints.last().unwrap().clone();
-        assert_eq!(ck.trials_done(), 25);
+        assert_eq!(ck.state.trials.len(), 25);
 
         let mut resumed_opt = LcsSwarm::default();
         let resumed = run_resumable(&s, &mut resumed_opt, 50, 5, 17, Some(ck), objective, |_| {});
@@ -347,19 +335,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a round boundary")]
     fn resume_rejects_checkpoints_off_the_round_grid() {
-        use crate::snapshot::StudyCheckpoint;
         let s = space();
         let objective =
             |pts: &[Vec<usize>]| -> Vec<TrialResult> { vec![TrialResult::Invalid; pts.len()] };
         // 10 trials in rounds of 4: the final checkpoint sits at 10, which
         // is a completed study but not a multiple of 4.
-        let mut checkpoints: Vec<StudyCheckpoint> = Vec::new();
+        let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let mut opt = RandomSearch::new();
         let _ = run_resumable(&s, &mut opt, 10, 4, 3, None, objective, |ck| {
             checkpoints.push(ck.clone());
         });
         let ck = checkpoints.pop().unwrap();
-        assert_eq!(ck.trials_done(), 10);
+        assert_eq!(ck.state.trials.len(), 10);
         // Extending the budget to 20 from that checkpoint must panic.
         let mut opt2 = RandomSearch::new();
         let _ = run_resumable(&s, &mut opt2, 20, 4, 3, Some(ck), objective, |_| {});

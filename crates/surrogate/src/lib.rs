@@ -20,7 +20,7 @@
 //! [`SurrogateScreener`] packages both tiers behind the
 //! [`fast_search::Screener`] trait: construct one with the workload set, the
 //! guide metric and a point-decoding closure, then hand it to
-//! [`fast_search::Study::run_screened`].
+//! [`fast_search::Study::run_with`].
 //!
 //! ```
 //! use fast_search::SurrogateTier;

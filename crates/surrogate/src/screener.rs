@@ -443,7 +443,7 @@ mod tests {
                 min_full: 2,
                 tier: SurrogateTier::S0,
             })
-            .run_screened(&mut opt, StudyEval::points(&mut eval), &mut sc)
+            .run_with(&mut opt, StudyEval::points(&mut eval), Some(&mut sc), None)
             .expect("valid configuration");
         let fid = report.fidelity.expect("screened study reports fidelity");
         assert_eq!(fid.full_evals, full);

@@ -59,8 +59,7 @@ pub mod prelude {
     pub use fast_core::{
         ablation_study, component_breakdown, design_report, relative_to_tpu, BudgetLevel,
         CacheStats, Checkpointer, DesignEval, Evaluator, FastSpace, FastStudy, Objective,
-        OptimizerKind, ScenarioMatrix, SearchConfig, SearchReport, SweepConfig, SweepResult,
-        SweepRunner,
+        OptimizerKind, ScenarioMatrix, SearchReport, SweepConfig, SweepResult, SweepRunner,
     };
     pub use fast_fusion::{fuse_workload, FusionOptions};
     pub use fast_ir::{DType, FusionStrategy, Graph, GraphStats};

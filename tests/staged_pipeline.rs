@@ -32,7 +32,6 @@ fn run_study(e: &Evaluator, kind: OptimizerKind, execution: Execution, seed: u64
 #[test]
 fn staged_studies_match_monolithic_for_every_optimizer_and_execution() {
     let executions = [
-        Execution::Sequential,
         Execution::Batched { batch_size: 1 },
         Execution::Batched { batch_size: 8 },
         Execution::Parallel { threads: 8 },

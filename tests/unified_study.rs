@@ -74,10 +74,11 @@ fn scratch_dir(name: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Single + Sequential (the shared-RNG classic loop) is reproducible
-    /// per seed, for every optimizer kind.
+    /// Single objective at the default execution (`Batched { batch_size:
+    /// 1 }`, the classic one-trial-at-a-time loop) is reproducible per seed,
+    /// for every optimizer kind.
     #[test]
-    fn single_sequential_is_reproducible(seed in 0u64..500, opt_ix in 0usize..3) {
+    fn single_default_execution_is_reproducible(seed in 0u64..500, opt_ix in 0usize..3) {
         let s = space();
         let run = || {
             let mut eval = |p: &[usize]| scalar_score(p).into();
@@ -200,18 +201,21 @@ proptest! {
         assert_report_eq(&straight_p, &resumed_p)?;
     }
 
-    /// Sequential + Checkpointed — a combination the pre-builder API never
-    /// had: the shared-RNG loop resumes by replay and still ends
-    /// bit-identical to an uninterrupted sequential study.
+    /// Checkpointed at the default execution: with rounds of one every
+    /// trial count is a round boundary, so a study killed at trial 17
+    /// resumes there and ends bit-identical to an uninterrupted study.
     #[test]
-    fn sequential_checkpointed_resumes_bit_identically(seed in 0u64..200, opt_ix in 0usize..3) {
+    fn default_execution_checkpointed_resumes_bit_identically(
+        seed in 0u64..200,
+        opt_ix in 0usize..3,
+    ) {
         let s = space();
         let mut eval = |p: &[usize]| scalar_score(p).into();
         let straight = Study::new(&s, 40)
             .seed(seed)
             .run(make_opt(opt_ix).as_mut(), StudyEval::points(&mut eval))
             .expect("valid configuration");
-        let dir = scratch_dir(&format!("seq-{seed}-{opt_ix}"));
+        let dir = scratch_dir(&format!("rounds-of-one-{seed}-{opt_ix}"));
         let shared = |p: &[usize]| scalar_score(p).into();
         let run = |trials: usize| {
             Study::new(&s, trials)
@@ -220,7 +224,7 @@ proptest! {
                 .run(make_opt(opt_ix).as_mut(), StudyEval::shared(&shared))
                 .expect("valid configuration")
         };
-        let _ = run(17); // any trial count is a boundary for sequential
+        let _ = run(17); // any trial count is a boundary of rounds of one
         let resumed = run(40);
         prop_assert_eq!(resumed.checkpoint.as_ref().unwrap().resumed_trials, 17);
         assert_report_eq(&straight, &resumed)?;
